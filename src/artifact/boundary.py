@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel
-from .numkernel import as_complex_matrix
+from .numkernel import DEFAULT_TOL, as_complex_matrix
 
-DEFAULT_TOL = 1e-10
 # Entries below this absolute size are cleaned to zero in canonical forms
 # (rows are pivot-normalized first, so the scale is meaningful).
 CANONICAL_ZERO = 1e-12
@@ -89,6 +88,80 @@ class VertexPartition:
     blocks: tuple[tuple[int, ...], ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Admissibility:
+    """The tolerance-free numbers admissibility of ``(A, B)`` is decided on.
+
+    ``singular_values`` are those of ``[A | B]`` in descending order,
+    ``hermiticity_defect`` is ``||A B^dagger - B A^dagger||_2`` and
+    ``norm_a``/``norm_b`` are the spectral norms of ``A`` and ``B``.  All four
+    combine exactly over a block sum of pairs, even one with its rows and
+    columns permuted (see :func:`combine_admissibility`).
+    """
+
+    singular_values: np.ndarray
+    hermiticity_defect: float
+    norm_a: float
+    norm_b: float
+
+    @property
+    def dim(self) -> int:
+        return len(self.singular_values)
+
+    def rank(self, tol: float = DEFAULT_TOL) -> int:
+        """Number of singular values of ``[A | B]`` above ``tol * sigma_max``."""
+        if tol <= 0:
+            raise ValueError(f"tolerance must be positive, got {tol!r}")
+        s = self.singular_values
+        if not s.size or s[0] == 0.0:
+            return 0
+        return int(np.count_nonzero(s > tol * s[0]))
+
+    def hermitian_ok(self, tol: float = DEFAULT_TOL) -> bool:
+        """Whether ``A B^dagger`` is Hermitian up to ``tol`` at the product scale."""
+        return self.hermiticity_defect <= tol * max(1.0, self.norm_a * self.norm_b)
+
+    def require(self, tol: float = DEFAULT_TOL) -> None:
+        """Raise :class:`InvalidBoundaryCondition` unless the pair is admissible."""
+        rank = self.rank(tol)
+        if rank != self.dim or not self.hermitian_ok(tol):
+            raise InvalidBoundaryCondition(
+                f"boundary condition is not admissible: rank {rank} of {self.dim}, "
+                f"hermiticity defect {self.hermiticity_defect:.3e}")
+
+
+def measure_admissibility(bc: BoundaryCondition) -> Admissibility:
+    """Measure the admissibility numbers of ``bc`` (four small SVDs of N x N or
+    N x 2N matrices)."""
+    return Admissibility(
+        singular_values=np.linalg.svd(np.hstack([bc.A, bc.B]), compute_uv=False),
+        hermiticity_defect=numkernel.hermiticity_defect(bc.A @ bc.B.conj().T),
+        norm_a=numkernel.spectral_norm(bc.A),
+        norm_b=numkernel.spectral_norm(bc.B),
+    )
+
+
+def combine_admissibility(parts) -> Admissibility:
+    """Admissibility numbers of a block sum of pairs from those of its blocks.
+
+    For ``A = P (A_1 + ... + A_r) Q`` and ``B = P (B_1 + ... + B_r) Q`` with
+    permutations ``P`` and ``Q``, the singular values of ``[A | B]`` are the
+    union of the blocks' ones, ``A B^dagger`` is a permuted block diagonal
+    (so its defect is the largest block defect), and ``||A||``, ``||B||`` are
+    the largest block norms.
+    """
+    parts = list(parts)
+    if not parts:
+        return Admissibility(np.zeros(0), 0.0, 0.0, 0.0)
+    sigma = np.sort(np.concatenate([p.singular_values for p in parts]))[::-1]
+    return Admissibility(
+        singular_values=sigma,
+        hermiticity_defect=max(p.hermiticity_defect for p in parts),
+        norm_a=max(p.norm_a for p in parts),
+        norm_b=max(p.norm_b for p in parts),
+    )
+
+
 def validate(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Measure admissibility of ``bc``.
 
@@ -97,26 +170,17 @@ def validate(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> ValidationRepor
     ``tol`` relative to the scale of the product.  ``is_real_bc`` is only
     evaluated for admissible conditions (it is reported False otherwise).
     """
-    n = bc.dim
-    stacked = np.hstack([bc.A, bc.B])
-    rank = numkernel.numeric_rank(stacked, tol)
-    defect = numkernel.hermiticity_defect(bc.A @ bc.B.conj().T)
-    scale = max(1.0, numkernel.spectral_norm(bc.A) * numkernel.spectral_norm(bc.B))
-    rank_ok = rank == n
-    hermitian_ok = defect <= tol * scale
-    real = False
-    if rank_ok and hermitian_ok:
-        real = equivalent(bc, bc.conjugate(), tol)
-    return ValidationReport(rank_ok, hermitian_ok, rank, defect, real)
+    numbers = measure_admissibility(bc)
+    rank = numbers.rank(tol)
+    rank_ok = rank == bc.dim
+    hermitian_ok = numbers.hermitian_ok(tol)
+    real = rank_ok and hermitian_ok and is_real(bc, tol)
+    return ValidationReport(rank_ok, hermitian_ok, rank, numbers.hermiticity_defect, real)
 
 
 def require_valid(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> None:
     """Raise :class:`InvalidBoundaryCondition` unless ``bc`` is admissible."""
-    report = validate(bc, tol)
-    if not report.ok:
-        raise InvalidBoundaryCondition(
-            f"boundary condition is not admissible: rank {report.rank_found} of {bc.dim}, "
-            f"hermiticity defect {report.hermiticity_defect:.3e}")
+    measure_admissibility(bc).require(tol)
 
 
 def _rref(m: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int]]:

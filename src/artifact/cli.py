@@ -27,8 +27,11 @@ order: E, k, then Re/Im/|.|^2 triples of every S entry row-major (labels
 ``ReS_<out>_<in>`` etc.), then unitarity_defect, at_eigenvalue, status.  Rows
 whose solve failed carry the error name in status and nan data cells.
 
-Exit codes: 0 success, 1 domain failure, 2 malformed input.  The worker count
-for sweeps is read from the environment variable ``ARTIFACT_WORKERS``.
+Exit codes: 0 success, 1 domain failure, 2 malformed input.  Sweeps solve
+their energy grid in batches on one thread.  The environment variable
+``ARTIFACT_WORKERS`` is still read and must be a positive integer when set
+(exit 2 otherwise), but it starts no threads and the output is identical for
+any value.
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -319,17 +321,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _workers() -> int:
+def _check_workers() -> None:
+    """Reject a malformed ``ARTIFACT_WORKERS``; a valid value changes nothing."""
     raw = os.environ.get(ENV_WORKERS)
     if raw is None or raw == "":
-        return 1
+        return
     try:
         count = int(raw)
     except ValueError:
-        raise DocumentError(f"{ENV_WORKERS} must be a positive integer, got {raw!r}")
+        count = 0
     if count < 1:
         raise DocumentError(f"{ENV_WORKERS} must be a positive integer, got {raw!r}")
-    return count
 
 
 def _output(text: str, path: str) -> None:
@@ -411,19 +413,8 @@ def cmd_sweep(args) -> int:
     if gbc.n == 0:
         raise scattering.NoExternalLines("graph has no external lines to sweep")
     energies = _sweep_energies(args)
-
-    def run_one(e):
-        try:
-            return scattering.solve_scattering(gbc, e, args.tol), "ok"
-        except (ValueError, RuntimeError) as exc:
-            return None, type(exc).__name__
-
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, energies))
-    else:
-        outcomes = [run_one(e) for e in energies]
+    _check_workers()
+    outcomes = scattering.solve_many(gbc, energies, args.tol)
 
     ids = g.externals
     columns = ["E", "k"]
@@ -434,17 +425,17 @@ def cmd_sweep(args) -> int:
     columns += ["unitarity_defect", "at_eigenvalue", "status"]
 
     rows = []
-    for e, (res, status) in zip(energies, outcomes):
+    for e, res in zip(energies, outcomes):
         row = [e, float(np.sqrt(e))]
-        if res is None:
-            row += [None] * (3 * len(ids) ** 2 + 1) + [0, status]
+        if isinstance(res, Exception):
+            row += [None] * (3 * len(ids) ** 2 + 1) + [0, type(res).__name__]
         else:
             for j in range(gbc.n):
                 for l in range(gbc.n):
                     s = res.s[j, l]
                     row += [float(s.real), float(s.imag), float(abs(s) ** 2)]
             row += [float(res.unitarity_defect),
-                    1 if res.at_eigenvalue else 0, status]
+                    1 if res.at_eigenvalue else 0, "ok"]
         rows.append(row)
 
     if args.json:

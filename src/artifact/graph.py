@@ -179,6 +179,20 @@ class GlobalBC:
                 f"global condition has size {self.bc.dim}, expected "
                 f"{self.n + 2 * self.m}")
 
+    def require_admissible(self) -> None:
+        """Raise :class:`~artifact.boundary.InvalidBoundaryCondition` unless
+        ``bc`` is admissible at ``boundary.DEFAULT_TOL``.
+
+        Admissibility does not depend on the energy, so it is measured at most
+        once per instance; :func:`assemble` records it from the vertex blocks,
+        which spares the N x N measurement altogether.
+        """
+        numbers = self.__dict__.get("_admissibility")
+        if numbers is None:
+            numbers = boundary.measure_admissibility(self.bc)
+            object.__setattr__(self, "_admissibility", numbers)
+        numbers.require(boundary.DEFAULT_TOL)
+
 
 @dataclass(frozen=True)
 class CutMap:
@@ -198,6 +212,10 @@ class CutMap:
 def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
     """Merge the local vertex conditions into the global pair ``(A, B)``.
 
+    Each vertex is validated at ``tol``; the global pair's admissibility
+    numbers are combined from the vertex ones, so
+    :meth:`GlobalBC.require_admissible` needs no work on the N x N pair.
+
     Raises:
         InvalidBoundaryCondition: if any vertex condition is inadmissible.
     """
@@ -212,20 +230,26 @@ def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
 
     a = np.zeros((size, size), dtype=complex)
     b = np.zeros((size, size), dtype=complex)
+    parts = []
     row = 0
     for vi, v in enumerate(g.vertices):
+        numbers = boundary.measure_admissibility(v.bc)
         try:
-            boundary.require_valid(v.bc, tol)
+            numbers.require(tol)
         except boundary.InvalidBoundaryCondition as exc:
             raise boundary.InvalidBoundaryCondition(f"vertex {vi}: {exc}")
+        parts.append(numbers)
         cols = [col[e] for e in v.endpoints]
         d = v.bc.dim
         a[np.ix_(range(row, row + d), cols)] = v.bc.A
         b[np.ix_(range(row, row + d), cols)] = v.bc.B
         row += d
     assert row == size
-    return GlobalBC(n=n, m=m, lengths=tuple(length for _, length in g.internals),
-                    bc=BoundaryCondition(a, b))
+    gbc = GlobalBC(n=n, m=m, lengths=tuple(length for _, length in g.internals),
+                   bc=BoundaryCondition(a, b))
+    # (A, B) is a row- and column-permuted block sum of the vertex pairs
+    object.__setattr__(gbc, "_admissibility", boundary.combine_admissibility(parts))
+    return gbc
 
 
 def trivial_vertex_bc() -> BoundaryCondition:

@@ -120,10 +120,17 @@ def unitarity_defect(u) -> float:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"unitarity defect needs a square matrix, got {u.shape}")
-    if u.shape[0] == 0:
-        return 0.0
-    gram = u.conj().T @ u
-    return float(np.linalg.norm(gram - np.eye(u.shape[0]), 2))
+    return float(unitarity_defects(u[None])[0])
+
+
+def unitarity_defects(stack) -> np.ndarray:
+    """:func:`unitarity_defect` of every matrix of a ``(G, n, n)`` stack."""
+    u = np.asarray(stack, dtype=np.complex128)
+    if u.ndim != 3 or u.shape[1] != u.shape[2]:
+        raise ValueError(f"unitarity defects need a stack of square matrices, "
+                         f"got shape {u.shape}")
+    gram = u.conj().transpose(0, 2, 1) @ u
+    return np.linalg.norm(gram - np.eye(u.shape[1]), 2, axis=(1, 2))
 
 
 def hermiticity_defect(m) -> float:

@@ -16,16 +16,21 @@ are exactly the eigenvalues embedded in the continuous spectrum, located by
 :func:`spectrum`.  At an embedded eigenvalue the system stays solvable, the S
 block is still unique, and :func:`solve_scattering` returns the minimum-norm
 solution with ``at_eigenvalue`` set.
+
+Every energy goes through one path: :func:`z_stack` builds ``Z`` for a stack
+of wavenumbers, one values-only SVD per energy decides regular or singular,
+and regular energies are solved by LU.  :func:`solve_many` (behind
+:func:`sweep` and ``artifact sweep``) and the :func:`spectrum` scan run that
+path on chunks of the energy axis; :func:`solve_scattering` runs it on one.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import boundary, numkernel
-from .boundary import BoundaryCondition
+from .boundary import BoundaryCondition, InvalidBoundaryCondition
 from .graph import GlobalBC
 
 # Relative sigma_min/sigma_max threshold below which Z(E) counts as singular.
@@ -36,6 +41,12 @@ GOLDEN_ITERATIONS = 40
 MERGE_RELATIVE = 1e-6
 # Default grid density: points per unit of max_length * (k_max - k_min).
 GRID_DENSITY = 2000
+# Complex entries of Z per batch: a batch holds max(1, CHUNK_ENTRIES // N^2)
+# energies, so memory stays flat in the grid length and in N.
+CHUNK_ENTRIES = 1 << 14
+# ScatteringResult.solve_path values.
+REGULAR = "regular"
+MINIMUM_NORM = "minimum-norm"
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -75,6 +86,9 @@ class ScatteringResult:
     ``s`` is n x n; ``alpha``/``beta`` are m x n (column = incoming channel).
     ``at_eigenvalue`` marks energies where Z(E) was numerically singular; the
     S block is unique there but alpha/beta are the minimum-norm choice.
+    ``sigma_ratio`` is sigma_min/sigma_max of Z(E) (0 for a zero matrix), and
+    ``solve_path`` says which solve ran: :data:`REGULAR` (LU) or
+    :data:`MINIMUM_NORM` (pseudoinverse, exactly when ``at_eigenvalue``).
     """
 
     energy: float
@@ -83,6 +97,8 @@ class ScatteringResult:
     beta: np.ndarray
     at_eigenvalue: bool
     unitarity_defect: float
+    sigma_ratio: float
+    solve_path: str
 
 
 @dataclass(frozen=True)
@@ -105,11 +121,37 @@ def _check_energy(energy: float) -> float:
     return energy
 
 
+def z_stack(gbc: GlobalBC, ks) -> np.ndarray:
+    """``Z(k^2)`` for every wavenumber in ``ks``, as a ``(len(ks), N, N)`` stack.
+
+    ``X`` and ``Y`` are the identity outside the internal-line blocks, so
+    ``Z = A X + ik B Y`` is column arithmetic on ``A`` and ``B``, O(N^2) per
+    energy.  For internal line ``j`` with phase ``p = exp(ik a_j)``, the
+    near-end column is ``A_0 + p A_a + ik (B_0 - p B_a)`` and the far-end
+    column ``A_0 + A_a / p + ik (B_a / p - B_0)``; external columns are
+    ``A + ik B``.
+    """
+    ks = np.asarray(ks, dtype=float)
+    a, b = gbc.bc.A, gbc.bc.B
+    n, m = gbc.n, gbc.m
+    ik = 1j * ks[:, None, None]
+    z = np.empty((len(ks), n + 2 * m, n + 2 * m), dtype=complex)
+    z[:, :, :n] = a[:, :n] + ik * b[:, :n]
+    if m:
+        p = np.exp(1j * ks[:, None, None] * np.asarray(gbc.lengths))
+        near, far = slice(n, n + m), slice(n + m, n + 2 * m)
+        a0, aa, b0, ba = a[:, near], a[:, far], b[:, near], b[:, far]
+        z[:, :, near] = a0 + p * aa + ik * (b0 - p * ba)
+        z[:, :, far] = a0 + aa / p + ik * (ba / p - b0)
+    return z
+
+
 def build_xyz(gbc: GlobalBC, energy: float):
     """The matrices ``X(E)``, ``Y(E)``, ``Z(E)`` of the scattering system.
 
     Endpoint order is (externals, internal near ends, internal far ends);
-    with no internal lines both X and Y degenerate to the identity.
+    with no internal lines both X and Y degenerate to the identity.  ``Z``
+    comes from :func:`z_stack`.
     """
     energy = _check_energy(energy)
     n, m = gbc.n, gbc.m
@@ -127,8 +169,19 @@ def build_xyz(gbc: GlobalBC, energy: float):
         y[sl0, sla] = -np.eye(m)
         y[sla, sl0] = -np.diag(phases)
         y[sla, sla] = np.diag(1.0 / phases)
-    z = gbc.bc.A @ x + 1j * k * gbc.bc.B @ y
-    return x, y, z
+    return x, y, z_stack(gbc, [k])[0]
+
+
+def _chunks(gbc: GlobalBC, count: int) -> list:
+    """Slices cutting ``range(count)`` into batches of CHUNK_ENTRIES entries of Z."""
+    size = gbc.n + 2 * gbc.m
+    step = max(1, CHUNK_ENTRIES // max(1, size * size))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _ratio(top, bottom):
+    """sigma_min/sigma_max, with 0 for a zero matrix."""
+    return np.divide(bottom, top, out=np.zeros_like(top), where=top != 0.0)
 
 
 def smatrix_single_vertex(bc: BoundaryCondition, energy: float,
@@ -144,6 +197,91 @@ def smatrix_single_vertex(bc: BoundaryCondition, energy: float,
     return -numkernel.solve_linear(bc.A + 1j * k * bc.B, bc.A - 1j * k * bc.B)
 
 
+def _minimum_norm_solve(z: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    sol = numkernel.pseudoinverse(z, tol) @ rhs
+    residual = numkernel.spectral_norm(z @ sol - rhs)
+    scale = max(numkernel.spectral_norm(rhs), 1.0)
+    if residual > 1e-8 * scale:
+        raise InconsistentSystem(
+            f"minimum-norm solve left relative residual {residual / scale:.3e}")
+    return sol
+
+
+def _solve_batch(gbc: GlobalBC, energies: np.ndarray, tol: float) -> list:
+    """Results at checked energies of an admissible ``gbc`` with external lines;
+    an :class:`InconsistentSystem` instance stands for a failed minimum-norm
+    solve."""
+    n, m = gbc.n, gbc.m
+    ks = np.sqrt(energies)
+    z = z_stack(gbc, ks)
+    ik = 1j * ks[:, None, None]
+    rhs = -(gbc.bc.A[:, :n] - ik * gbc.bc.B[:, :n])
+    sigma = np.linalg.svd(z, compute_uv=False)
+    top, bottom = sigma[:, 0], sigma[:, -1]
+    singular = (top == 0.0) | (bottom < tol * top)
+    sol = np.zeros_like(rhs)
+    regular = np.flatnonzero(~singular)
+    if regular.size:
+        sol[regular] = np.linalg.solve(z[regular], rhs[regular])
+    failed = {}
+    for i in np.flatnonzero(singular):
+        try:
+            sol[i] = _minimum_norm_solve(z[i], rhs[i], tol)
+        except InconsistentSystem as exc:
+            failed[i] = exc
+    defects = numkernel.unitarity_defects(sol[:, :n, :])
+    ratios = _ratio(top, bottom)
+    results = []
+    for i, energy in enumerate(energies):
+        if i in failed:
+            results.append(failed[i])
+            continue
+        results.append(ScatteringResult(
+            energy=float(energy),
+            s=sol[i, :n, :],
+            alpha=sol[i, n:n + m, :],
+            beta=sol[i, n + m:, :],
+            at_eigenvalue=bool(singular[i]),
+            unitarity_defect=float(defects[i]),
+            sigma_ratio=float(ratios[i]),
+            solve_path=MINIMUM_NORM if singular[i] else REGULAR,
+        ))
+    return results
+
+
+def solve_many(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL) -> list:
+    """:func:`solve_scattering` at every energy of a grid, batched over energies.
+
+    Returns, in grid order, a :class:`ScatteringResult` per energy or, where
+    the solve failed, the exception :func:`solve_scattering` raises there
+    (``NonpositiveEnergy``, ``InvalidBoundaryCondition`` or
+    ``InconsistentSystem``).
+
+    Raises:
+        NoExternalLines: when ``gbc`` has no external lines.
+    """
+    if gbc.n == 0:
+        raise NoExternalLines("graph has no external lines to scatter on")
+    grid = list(energies)
+    try:
+        gbc.require_admissible()
+    except InvalidBoundaryCondition as exc:
+        return [exc] * len(grid)
+    outcomes: list = [None] * len(grid)
+    index, checked = [], []
+    for i, e in enumerate(grid):
+        try:
+            checked.append(_check_energy(e))
+            index.append(i)
+        except NonpositiveEnergy as exc:
+            outcomes[i] = exc
+    checked = np.array(checked, dtype=float)
+    for part in _chunks(gbc, len(checked)):
+        for i, out in zip(index[part], _solve_batch(gbc, checked[part], tol)):
+            outcomes[i] = out
+    return outcomes
+
+
 def solve_scattering(gbc: GlobalBC, energy: float,
                      tol: float = SINGULAR_TOL) -> ScatteringResult:
     """Solve for the S-matrix and interior amplitudes at one energy.
@@ -156,44 +294,28 @@ def solve_scattering(gbc: GlobalBC, energy: float,
             ``at_eigenvalue`` is set.
 
     Raises:
-        NonpositiveEnergy, NoExternalLines, InvalidBoundaryCondition.
+        NonpositiveEnergy, NoExternalLines, InvalidBoundaryCondition,
+        InconsistentSystem.
     """
     energy = _check_energy(energy)
-    if gbc.n == 0:
-        raise NoExternalLines("graph has no external lines to scatter on")
-    boundary.require_valid(gbc.bc)
-    n, m = gbc.n, gbc.m
-    k = np.sqrt(energy)
-    _, _, z = build_xyz(gbc, energy)
-    rhs = -(gbc.bc.A - 1j * k * gbc.bc.B)[:, :n]
-    sigma = np.linalg.svd(z, compute_uv=False)
-    singular = sigma[0] == 0.0 or sigma[-1] < tol * sigma[0]
-    if singular:
-        sol = numkernel.pseudoinverse(z, tol) @ rhs
-        residual = numkernel.spectral_norm(z @ sol - rhs)
-        scale = max(numkernel.spectral_norm(rhs), 1.0)
-        if residual > 1e-8 * scale:
-            raise InconsistentSystem(
-                f"minimum-norm solve left relative residual {residual / scale:.3e}")
-    else:
-        sol = numkernel.solve_linear(z, rhs, tol)
-    s = sol[:n, :]
-    return ScatteringResult(
-        energy=energy,
-        s=s,
-        alpha=sol[n:n + m, :],
-        beta=sol[n + m:, :],
-        at_eigenvalue=bool(singular),
-        unitarity_defect=numkernel.unitarity_defect(s),
-    )
+    (outcome,) = solve_many(gbc, [energy], tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _extreme_sigmas(gbc: GlobalBC, ks):
+    """sigma_max and sigma_min of Z(k^2) for every k in ``ks``, in batches."""
+    ks = np.asarray(ks, dtype=float)
+    top, bottom = np.empty(len(ks)), np.empty(len(ks))
+    for part in _chunks(gbc, len(ks)):
+        sigma = np.linalg.svd(z_stack(gbc, ks[part]), compute_uv=False)
+        top[part], bottom[part] = sigma[:, 0], sigma[:, -1]
+    return top, bottom
 
 
 def _singularity_ratio(gbc: GlobalBC, k: float) -> float:
-    _, _, z = build_xyz(gbc, k * k)
-    sigma = np.linalg.svd(z, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0.0
-    return float(sigma[-1] / sigma[0])
+    return float(_ratio(*_extreme_sigmas(gbc, [k]))[0])
 
 
 def _golden_minimize(f, lo: float, hi: float, iterations: int = GOLDEN_ITERATIONS):
@@ -219,7 +341,9 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
     Scans ``sigma_min(Z)/sigma_max(Z)`` on a grid uniform in ``k = sqrt(E)``,
     refines each local minimum by golden-section search (fixed iteration
     count), merges candidates within 1e-6 relative energy, and accepts a
-    candidate when the refined ``sigma_min < tol * sigma_max``.
+    candidate when the refined ``sigma_min < tol * sigma_max``.  A candidate
+    within 1e-6 relative energy of ``e_min`` is the excluded left edge and is
+    dropped.
 
     Args:
         grid: number of scan points; defaults to about 2000 per unit of
@@ -230,7 +354,7 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
     """
     if not (np.isfinite(e_min) and np.isfinite(e_max)) or not 0.0 < e_min < e_max:
         raise BadWindow(f"need 0 < e_min < e_max, got ({e_min!r}, {e_max!r})")
-    boundary.require_valid(gbc.bc)
+    gbc.require_admissible()
     if gbc.m == 0:
         # Z(E) = A + ikB is invertible at every positive energy
         return SpectrumResult((), (), (float(e_min), float(e_max)), 0)
@@ -242,7 +366,7 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
     elif grid < 3:
         raise BadWindow(f"grid must have at least 3 points, got {grid!r}")
     ks = np.linspace(k_lo, k_hi, grid)
-    ratios = np.array([_singularity_ratio(gbc, k) for k in ks])
+    ratios = _ratio(*_extreme_sigmas(gbc, ks))
 
     prefilter = max(1e-2, 10.0 * tol)
     candidates = []
@@ -254,8 +378,10 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
             hi = ks[min(i + 1, grid - 1)]
             k_star, r_star = _golden_minimize(
                 lambda k: _singularity_ratio(gbc, k), lo, hi)
-            if r_star < tol:
-                candidates.append((float(k_star ** 2), float(r_star)))
+            e_star = float(k_star ** 2)
+            # the window excludes its left edge, where the scan starts
+            if r_star < tol and e_star - e_min > MERGE_RELATIVE * max(1.0, e_star):
+                candidates.append((e_star, float(r_star)))
 
     candidates.sort()
     merged: list[tuple[float, float]] = []
@@ -267,11 +393,8 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
             merged.append((e, r))
 
     eigenvalues = tuple(e for e, _ in merged)
-    residuals = []
-    for e, _ in merged:
-        _, _, z = build_xyz(gbc, e)
-        residuals.append(float(np.linalg.svd(z, compute_uv=False)[-1]))
-    return SpectrumResult(eigenvalues, tuple(residuals),
+    _, residuals = _extreme_sigmas(gbc, np.sqrt(eigenvalues))
+    return SpectrumResult(eigenvalues, tuple(float(r) for r in residuals),
                           (float(e_min), float(e_max)), grid)
 
 
@@ -286,10 +409,9 @@ def eigenfunction(gbc: GlobalBC, energy: float, tol: float = SINGULAR_TOL):
         NotAnEigenvalue: when Z(E) has no numerical kernel at ``tol``.
     """
     energy = _check_energy(energy)
-    boundary.require_valid(gbc.bc)
+    gbc.require_admissible()
     n, m = gbc.n, gbc.m
-    _, _, z = build_xyz(gbc, energy)
-    _, sigma, vh = np.linalg.svd(z)
+    _, sigma, vh = np.linalg.svd(z_stack(gbc, [np.sqrt(energy)])[0])
     if sigma[0] == 0.0:
         raise NotAnEigenvalue("Z(E) is the zero matrix; invalid boundary condition")
     kernel = [vh[j].conj() for j in range(len(sigma)) if sigma[j] < tol * sigma[0]]
@@ -399,18 +521,20 @@ def sweep(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL, workers: int = 1):
 
     Args:
         energies: iterable of energies, each > 0.
-        workers: thread count; results keep grid order regardless.
+        workers: accepted and ignored; the grid is solved in batches on the
+            calling thread, and results are identical for any value.
 
     Returns:
         ``(results, probabilities)`` where ``probabilities[i, j, k]`` is
         ``|S_jk|^2`` at the i-th energy.
+
+    Raises:
+        the first error :func:`solve_scattering` raises on the grid.
     """
-    grid = [float(e) for e in energies]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda e: solve_scattering(gbc, e, tol), grid))
-    else:
-        results = [solve_scattering(gbc, e, tol) for e in grid]
+    results = solve_many(gbc, energies, tol)
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
     probabilities = np.stack([np.abs(r.s) ** 2 for r in results]) if results \
         else np.zeros((0, gbc.n, gbc.n))
     return results, probabilities

@@ -178,10 +178,7 @@ def _permutation(ids, order) -> list[int]:
     index = {e: i for i, e in enumerate(ids)}
     if len(index) != len(ids) or sorted(index) != sorted(order):
         raise InvalidParameters("channel id lists do not match")
-    perm = [index[e] for e in order]
-    inverse = np.argsort(perm)
-    assert np.array_equal(np.asarray(perm)[inverse], np.arange(len(perm)))
-    return perm
+    return [index[e] for e in order]
 
 
 def compose_smatrices(s_left, s_right, cutmap: CutMap, energy: float,

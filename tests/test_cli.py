@@ -348,3 +348,21 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert first == second
     assert f"passed {len(cli._SELFTEST_CHECKS)}/{len(cli._SELFTEST_CHECKS)}" in first
     assert "FAIL" not in first
+
+
+def test_sweep_rows_carry_the_error_name(tmp_path, capsys):
+    # every vertex passes on its own, but a 1e12 scale gap between them fails
+    # the global relative rank test: each row reports the refusal
+    doc = _ring_doc()
+    a = [[1, -1, 0], [0, 1, -1], [0, 0, 0]]
+    b = [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
+    doc["vertices"][0]["bc"] = {
+        "kind": "matrix",
+        "A": [[[1e12 * x, 0.0] for x in row] for row in a],
+        "B": [[[1e12 * x, 0.0] for x in row] for row in b],
+    }
+    assert main(["sweep", _write(tmp_path, doc), "--emin", "1", "--emax", "4",
+                 "--points", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert [line.split(",")[-1] for line in lines[1:]] == ["InvalidBoundaryCondition"] * 3

@@ -230,3 +230,47 @@ def test_cut_rejects_edge_inside_one_component():
     g = MetricGraph(("l1", "l2"), (("t", 0.8), ("b", 1.0)), (v0, v1))
     with pytest.raises(NotACut):
         cut(g, ["b", "t"])
+
+
+def _two_clusters(rng, factor):
+    """Two random couplings joined by 1-2 bridges; the left one is scaled by
+    ``factor``, which changes no vertex's admissibility."""
+    bridges = int(rng.integers(1, 3))
+    n_left, n_right = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+    externals = tuple(f"l{j}" for j in range(n_left)) + tuple(f"r{j}" for j in range(n_right))
+    internals = tuple((f"b{j}", float(rng.uniform(0.2, 3.0))) for j in range(bridges))
+    left = [ext_ref(f"l{j}") for j in range(n_left)]
+    left += [int_ref(f"b{j}", "0") for j in range(bridges)]
+    right = [int_ref(f"b{j}", "a") for j in range(bridges)]
+    right += [ext_ref(f"r{j}") for j in range(n_right)]
+    bc = random_bc(len(left), rng)
+    vertices = (Vertex(tuple(left), BoundaryCondition(factor * bc.A, factor * bc.B)),
+                Vertex(tuple(right), random_bc(len(right), rng)))
+    return MetricGraph(externals, internals, vertices)
+
+
+def _admissible(gbc) -> bool:
+    try:
+        gbc.require_admissible()
+    except InvalidBoundaryCondition:
+        return False
+    return True
+
+
+def test_assembled_verdict_matches_global_validation():
+    # (A, B) is a permuted block sum of the vertex pairs, so the verdict that
+    # assemble derives from the vertices must equal the full N x N check, also
+    # where the vertex scales differ so much that every vertex passes but the
+    # global relative rank test fails
+    rng = np.random.default_rng(12)
+    verdicts = []
+    for factor in (1.0, 1e3, 1e6, 1e12, 1e-12):
+        for _ in range(4):
+            gbc = assemble(_two_clusters(rng, factor))
+            expected = boundary.validate(gbc.bc).ok
+            assert _admissible(gbc) == expected
+            if not expected:
+                with pytest.raises(InvalidBoundaryCondition):
+                    scattering.solve_scattering(gbc, 1.3)
+            verdicts.append(expected)
+    assert verdicts.count(False) == 8

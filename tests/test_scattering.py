@@ -316,3 +316,97 @@ def test_energy_validation():
             solve_scattering(gbc, bad)
     with pytest.raises(NonpositiveEnergy):
         smatrix_single_vertex(dirichlet(1), -2.0)
+
+
+def test_z_stack_matches_dense_products():
+    # the column arithmetic against Z = A X + ik B Y with the dense X and Y
+    rng = np.random.default_rng(8)
+    for seed in (1, 2, 3):
+        gbc = assemble(_two_vertex_graph(seed))
+        ks = rng.uniform(0.3, 6.0, size=4)
+        for k, z in zip(ks, scattering.z_stack(gbc, ks)):
+            x, y, _ = build_xyz(gbc, k * k)
+            dense = gbc.bc.A @ x + 1j * k * gbc.bc.B @ y
+            assert np.abs(z - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_directly_built_inadmissible_pair_is_refused(monkeypatch):
+    base = assemble(_ring())
+    # the first three rows are vertex 0: each vertex block stays admissible,
+    # the global relative rank test fails
+    rows = np.where(np.arange(6) < 3, 1e12, 1.0)[:, None]
+    scaled = GlobalBC(2, 2, (1.0, 1.0),
+                      BoundaryCondition(rows * base.bc.A, rows * base.bc.B))
+    zero = GlobalBC(2, 2, (1.0, 1.0),
+                    BoundaryCondition(np.zeros((6, 6)), np.zeros((6, 6))))
+    measured = []
+    measure = boundary.measure_admissibility
+    monkeypatch.setattr(boundary, "measure_admissibility",
+                        lambda bc: measured.append(bc) or measure(bc))
+    for gbc in (scaled, zero):
+        for e in (2.0, 3.0):
+            with pytest.raises(InvalidBoundaryCondition):
+                solve_scattering(gbc, e)
+        with pytest.raises(InvalidBoundaryCondition):
+            spectrum(gbc, 1.0, 50.0)
+        with pytest.raises(InvalidBoundaryCondition):
+            eigenfunction(gbc, np.pi ** 2)
+    # measured once per instance, however many calls follow
+    assert len(measured) == 2
+
+
+def test_batched_sweep_matches_per_energy_solves(monkeypatch):
+    gbc = assemble(_ring())
+    energies = [0.5, np.pi ** 2, 2.9, 8.8, (2 * np.pi) ** 2, 26.0, 31.0]
+    singles = [solve_scattering(gbc, e) for e in energies]
+    # batches of 3 energies (N = 6): the eigenvalues sit inside batches
+    monkeypatch.setattr(scattering, "CHUNK_ENTRIES", 3 * 36)
+    batched, _ = sweep(gbc, energies)
+    paths = [r.solve_path for r in batched]
+    assert paths == [scattering.REGULAR, scattering.MINIMUM_NORM, scattering.REGULAR,
+                     scattering.REGULAR, scattering.MINIMUM_NORM, scattering.REGULAR,
+                     scattering.REGULAR]
+    for a, b in zip(batched, singles):
+        assert a.energy == b.energy and a.at_eigenvalue == b.at_eigenvalue
+        assert (a.sigma_ratio < scattering.SINGULAR_TOL) == a.at_eigenvalue
+        for name in ("s", "alpha", "beta"):
+            assert np.abs(getattr(a, name) - getattr(b, name)).max() <= 1e-14
+        assert abs(a.unitarity_defect - b.unitarity_defect) <= 1e-14
+
+
+def test_batched_scan_ratios_equal_pointwise_ratios():
+    gbc = assemble(_ring())
+    ks = np.linspace(np.sqrt(0.5), 10.0, 2500)   # two batches at N = 6
+    batched = scattering._ratio(*scattering._extreme_sigmas(gbc, ks))
+    pointwise = np.array([scattering._singularity_ratio(gbc, k) for k in ks])
+    assert np.array_equal(batched, pointwise)
+
+
+def test_spectrum_window_excludes_left_edge_only():
+    gbc = assemble(_ring())
+    assert_allclose(spectrum(gbc, np.pi ** 2, 50.0).eigenvalues, [4 * np.pi ** 2],
+                    rtol=1e-8)
+    assert_allclose(spectrum(gbc, 1.0, np.pi ** 2).eigenvalues, [np.pi ** 2],
+                    rtol=1e-8)
+
+
+def test_solve_scattering_validates_never_and_decomposes_once(monkeypatch):
+    gbc = assemble(_ring())
+    counts = dict.fromkeys(("validate", "measure_admissibility", "svd", "solve"), 0)
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(boundary, "validate")
+    counting(boundary, "measure_admissibility")
+    counting(np.linalg, "svd")
+    counting(np.linalg, "solve")
+    res = solve_scattering(gbc, 2.0)
+    assert counts == {"validate": 0, "measure_admissibility": 0, "svd": 1, "solve": 1}
+    assert res.solve_path == scattering.REGULAR and 0.0 < res.sigma_ratio < 1.0
