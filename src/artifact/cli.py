@@ -27,11 +27,7 @@ order: E, k, then Re/Im/|.|^2 triples of every S entry row-major (labels
 ``ReS_<out>_<in>`` etc.), then unitarity_defect, at_eigenvalue, status.  Rows
 whose solve failed carry the error name in status and nan data cells.
 
-Exit codes: 0 success, 1 domain failure, 2 malformed input.  Sweeps solve
-their energy grid in batches on one thread.  The environment variable
-``ARTIFACT_WORKERS`` is still read and must be a positive integer when set
-(exit 2 otherwise), but it starts no threads and the output is identical for
-any value.
+Exit codes: 0 success, 1 domain failure, 2 malformed input.
 """
 from __future__ import annotations
 
@@ -39,7 +35,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -52,8 +47,6 @@ from .boundary import (BoundaryCondition, DimensionMismatch,
                        InvalidBoundaryCondition, InvalidParameters)
 from .graph import MetricGraph, Vertex, ext_ref, int_ref
 
-ENV_WORKERS = "ARTIFACT_WORKERS"
-
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
@@ -63,17 +56,31 @@ class DocumentError(ValueError):
     """Malformed graph document or command input (exit code 2)."""
 
 
-# Parameter names per named coupling: required, then optional with defaults.
-_BC_PARAMS = {
-    "dirichlet": ((), ()),
-    "neumann": ((), ()),
-    "kirchhoff": ((), ()),
-    "robin": (("phi",), ()),
-    "delta": (("strength",), ("mu",)),
-    "delta_prime": (("strength",), ()),
-    "sl2": (("a", "b", "c", "d"), ("mu",)),
-    "cyclic": (("c",), ()),
-    "matrix": (("A", "B"), ()),
+def _matrix_bc(params: dict, dim: int) -> BoundaryCondition:
+    a, b = (np.array([[complex(re, im) for re, im in row] for row in params[name]])
+            for name in ("A", "B"))
+    if a.shape != (dim, dim) or b.shape != (dim, dim):
+        raise DimensionMismatch(
+            f"matrices must be {dim} x {dim} for {dim} endpoints")
+    return BoundaryCondition(a, b)
+
+
+# Named couplings: required parameters, optional parameters, the endpoint
+# count it needs (None for any) and its constructor from (params, dim).
+_BC_KINDS = {
+    "dirichlet": ((), (), None, lambda p, dim: boundary.dirichlet(dim)),
+    "neumann": ((), (), None, lambda p, dim: boundary.neumann(dim)),
+    "kirchhoff": ((), (), None, lambda p, dim: boundary.kirchhoff_standard(dim)),
+    "robin": (("phi",), (), 1, lambda p, dim: boundary.robin(p["phi"])),
+    "delta": (("strength",), ("mu",), 2,
+              lambda p, dim: boundary.delta_coupling(p["strength"], p.get("mu", 0.0))),
+    "delta_prime": (("strength",), (), 2,
+                    lambda p, dim: boundary.delta_prime(p["strength"])),
+    "sl2": (("a", "b", "c", "d"), ("mu",), 2,
+            lambda p, dim: boundary.sl2_coupling(p["a"], p["b"], p["c"], p["d"],
+                                                 p.get("mu", 0.0))),
+    "cyclic": (("c",), (), None, lambda p, dim: boundary.cyclic_coupling(p["c"], dim)),
+    "matrix": (("A", "B"), (), None, _matrix_bc),
 }
 
 
@@ -208,11 +215,11 @@ def _parse_bc_spec(spec, vi: int):
     if not isinstance(spec, dict):
         raise DocumentError(f"vertex {vi}: bc must be an object")
     kind = spec.get("kind")
-    if kind not in _BC_PARAMS:
+    if kind not in _BC_KINDS:
         raise DocumentError(
             f"vertex {vi}: unknown bc kind {kind!r} (known: "
-            f"{', '.join(sorted(_BC_PARAMS))})")
-    required, optional = _BC_PARAMS[kind]
+            f"{', '.join(sorted(_BC_KINDS))})")
+    required, optional, _, _ = _BC_KINDS[kind]
     _check_keys(spec, {"kind", *required, *optional}, f"vertex {vi} bc")
     params = {}
     for name in required:
@@ -246,49 +253,13 @@ def _normalize_matrix(rows, where: str):
     return out
 
 
-def _matrix_from_params(rows) -> np.ndarray:
-    arr = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return arr
-
-
 def _build_bc(kind: str, params: dict, dim: int, vi: int) -> BoundaryCondition:
+    _, _, count, build = _BC_KINDS[kind]
+    if count is not None and dim != count:
+        raise DocumentError(f"vertex {vi}: {kind} needs exactly {count} "
+                            f"endpoint{'s' if count > 1 else ''}, has {dim}")
     try:
-        if kind == "dirichlet":
-            return boundary.dirichlet(dim)
-        if kind == "neumann":
-            return boundary.neumann(dim)
-        if kind == "kirchhoff":
-            return boundary.kirchhoff_standard(dim)
-        if kind == "robin":
-            if dim != 1:
-                raise DocumentError(
-                    f"vertex {vi}: robin needs exactly 1 endpoint, has {dim}")
-            return boundary.robin(params["phi"])
-        if kind == "delta":
-            if dim != 2:
-                raise DocumentError(
-                    f"vertex {vi}: delta needs exactly 2 endpoints, has {dim}")
-            return boundary.delta_coupling(params["strength"],
-                                           params.get("mu", 0.0))
-        if kind == "delta_prime":
-            if dim != 2:
-                raise DocumentError(
-                    f"vertex {vi}: delta_prime needs exactly 2 endpoints, has {dim}")
-            return boundary.delta_prime(params["strength"])
-        if kind == "sl2":
-            if dim != 2:
-                raise DocumentError(
-                    f"vertex {vi}: sl2 needs exactly 2 endpoints, has {dim}")
-            return boundary.sl2_coupling(params["a"], params["b"], params["c"],
-                                         params["d"], params.get("mu", 0.0))
-        if kind == "cyclic":
-            return boundary.cyclic_coupling(params["c"], dim)
-        a = _matrix_from_params(params["A"])
-        b = _matrix_from_params(params["B"])
-        if a.shape != (dim, dim) or b.shape != (dim, dim):
-            raise DocumentError(
-                f"vertex {vi}: matrices must be {dim} x {dim} for {dim} endpoints")
-        return BoundaryCondition(a, b)
+        return build(params, dim)
     except (InvalidParameters, DimensionMismatch) as exc:
         raise DocumentError(f"vertex {vi}: {exc}")
 
@@ -319,19 +290,6 @@ def loads_document(text: str) -> GraphDocument:
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def _check_workers() -> None:
-    """Reject a malformed ``ARTIFACT_WORKERS``; a valid value changes nothing."""
-    raw = os.environ.get(ENV_WORKERS)
-    if raw is None or raw == "":
-        return
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise DocumentError(f"{ENV_WORKERS} must be a positive integer, got {raw!r}")
 
 
 def _output(text: str, path: str) -> None:
@@ -413,7 +371,6 @@ def cmd_sweep(args) -> int:
     if gbc.n == 0:
         raise scattering.NoExternalLines("graph has no external lines to sweep")
     energies = _sweep_energies(args)
-    _check_workers()
     outcomes = scattering.solve_many(gbc, energies, args.tol)
 
     ids = g.externals
@@ -513,12 +470,11 @@ def cmd_compose(args) -> int:
         raise DocumentError("energies must be finite and > 0")
 
     rows = []
-    for e in energies:
-        try:
-            _, _, defect = starprod.factorize_graph(g, cut_ids, e, args.tol)
-            rows.append((e, defect, "ok"))
-        except starprod.ConditionAViolated as exc:
-            rows.append((e, None, f"SKIPPED (Condition A margin {exc.margin:.3e})"))
+    for e, out in zip(energies, starprod.factorize_many(g, cut_ids, energies, args.tol)):
+        if isinstance(out, starprod.ConditionAViolated):
+            rows.append((e, None, f"SKIPPED (Condition A margin {out.margin:.3e})"))
+        else:
+            rows.append((e, out[2], "ok"))
 
     if args.json:
         payload = [{"E": e, "defect": d, "status": status}

@@ -71,10 +71,12 @@ class OutOfDomain(ValueError):
 
 
 class InconsistentSystem(RuntimeError):
-    """Raised when the minimum-norm solve leaves a large residual.
+    """Raised when the minimum-norm solve leaves a relative residual or an S
+    block unitarity defect above 1e-8.
 
     For admissible boundary conditions the scattering system is solvable at
-    every positive energy, so this signals corrupted input rather than a
+    every positive energy and its S block is unitary, so this signals
+    corrupted input, or an energy beyond floating-point reach, rather than a
     legitimate outcome.
     """
 
@@ -209,7 +211,7 @@ def _minimum_norm_solve(z: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarra
 
 def _solve_batch(gbc: GlobalBC, energies: np.ndarray, tol: float) -> list:
     """Results at checked energies of an admissible ``gbc`` with external lines;
-    an :class:`InconsistentSystem` instance stands for a failed minimum-norm
+    an :class:`InconsistentSystem` instance stands for a refused minimum-norm
     solve."""
     n, m = gbc.n, gbc.m
     ks = np.sqrt(energies)
@@ -230,6 +232,9 @@ def _solve_batch(gbc: GlobalBC, energies: np.ndarray, tol: float) -> list:
         except InconsistentSystem as exc:
             failed[i] = exc
     defects = numkernel.unitarity_defects(sol[:, :n, :])
+    for i in np.flatnonzero(singular & (defects > 1e-8)):
+        failed.setdefault(i, InconsistentSystem(
+            f"minimum-norm solve gave an S block with unitarity defect {defects[i]:.3e}"))
     ratios = _ratio(top, bottom)
     results = []
     for i, energy in enumerate(energies):
@@ -516,13 +521,11 @@ def check_covariance(gbc: GlobalBC, u, energy: float) -> float:
     ))
 
 
-def sweep(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL, workers: int = 1):
+def sweep(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL):
     """Scattering results over an energy grid, plus transmission probabilities.
 
     Args:
         energies: iterable of energies, each > 0.
-        workers: accepted and ignored; the grid is solved in batches on the
-            calling thread, and results are identical for any value.
 
     Returns:
         ``(results, probabilities)`` where ``probabilities[i, j, k]`` is

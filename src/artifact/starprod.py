@@ -10,7 +10,7 @@ unitary coupling ``V`` (p x p).  Writing the operands in 2 x 2 block form with
 and is again unitary of size ``n' + n'' - 2p``.  The composition of on-shell
 graph S-matrices is the special case ``V = I`` with the right operand dressed
 by propagation phases, handled by :func:`compose_smatrices` and
-:func:`factorize_graph`.
+:func:`factorize_many`.
 """
 from __future__ import annotations
 
@@ -223,21 +223,26 @@ def compose_smatrices(s_left, s_right, cutmap: CutMap, energy: float,
     return star(StarOperands(sl, dressed, np.eye(p), p), tol)
 
 
-def factorize_graph(g: MetricGraph, edge_ids, energy: float,
-                    tol: float = CONDITION_A_TOL):
-    """Cut a graph, compose the sides' S-matrices, and compare with the direct solve.
+def factorize_many(g: MetricGraph, edge_ids, energies,
+                   tol: float = CONDITION_A_TOL) -> list:
+    """Cut a graph, compose the sides' S-matrices, and compare with the direct
+    solve, at every energy of a grid.
 
     Requested tadpole edges are first split with a trivial vertex (cutting a
     tadpole directly can never split the graph); tadpoles remaining inside
-    either side are likewise normalized before the side is solved.  The
-    composed matrix is re-ordered to the external-channel order of ``g``.
+    either side are likewise normalized before the side is solved.  The cut
+    and the three assembled graphs are built once, and each is solved over
+    the whole grid by :func:`scattering.solve_many`.  The composed matrix is
+    re-ordered to the external-channel order of ``g``.
 
     Returns:
-        ``(s_composed, s_direct, defect)`` with ``defect`` the spectral norm
-        of their difference.
+        in grid order, ``(s_composed, s_direct, defect)`` with ``defect`` the
+        spectral norm of their difference, or the :class:`ConditionAViolated`
+        instance at resonant energies.
 
     Raises:
-        ConditionAViolated: at resonant energies (no composition there).
+        a side's solve error, and the direct solve's error at an energy that
+        composed, in grid order.
     """
     work = g
     cut_ids = []
@@ -249,21 +254,48 @@ def factorize_graph(g: MetricGraph, edge_ids, energy: float,
         else:
             cut_ids.append(e)
     left, right, cutmap = graphmod.cut(work, cut_ids)
-    left = _normalize_tadpoles(left)
-    right = _normalize_tadpoles(right)
-    res_left = scattering.solve_scattering(graphmod.assemble(left), energy)
-    res_right = scattering.solve_scattering(graphmod.assemble(right), energy)
-    composed = compose_smatrices(res_left.s, res_right.s, cutmap, energy, tol)
+    grid = list(energies)
+    res_left, res_right = (
+        scattering.solve_many(graphmod.assemble(_normalize_tadpoles(side)), grid)
+        for side in (left, right))
+    direct = graphmod.assemble(g)
+    # without external lines nothing composes (star needs 2p < n' + n'')
+    res_direct = scattering.solve_many(direct, grid) if direct.n else [None] * len(grid)
 
     cut_left = {pair[0] for pair in cutmap.pairs}
     cut_right = {pair[1] for pair in cutmap.pairs}
     composed_ids = ([e for e in cutmap.left_externals if e not in cut_left]
                     + [e for e in cutmap.right_externals if e not in cut_right])
     perm = _permutation(composed_ids, list(g.externals))
-    s_composed = composed[np.ix_(perm, perm)]
-    s_direct = scattering.solve_scattering(graphmod.assemble(g), energy).s
-    defect = float(numkernel.spectral_norm(s_composed - s_direct))
-    return s_composed, s_direct, defect
+    outcomes = []
+    for energy, sl, sr, sd in zip(grid, res_left, res_right, res_direct):
+        for res in (sl, sr):
+            if isinstance(res, Exception):
+                raise res
+        try:
+            composed = compose_smatrices(sl.s, sr.s, cutmap, energy, tol)
+        except ConditionAViolated as exc:
+            outcomes.append(exc)
+            continue
+        if isinstance(sd, Exception):
+            raise sd
+        s_composed = composed[np.ix_(perm, perm)]
+        defect = float(numkernel.spectral_norm(s_composed - sd.s))
+        outcomes.append((s_composed, sd.s, defect))
+    return outcomes
+
+
+def factorize_graph(g: MetricGraph, edge_ids, energy: float,
+                    tol: float = CONDITION_A_TOL):
+    """:func:`factorize_many` at one energy: ``(s_composed, s_direct, defect)``.
+
+    Raises:
+        ConditionAViolated: at resonant energies (no composition there).
+    """
+    (outcome,) = factorize_many(g, edge_ids, [energy], tol)
+    if isinstance(outcome, ConditionAViolated):
+        raise outcome
+    return outcome
 
 
 def _normalize_tadpoles(g: MetricGraph) -> MetricGraph:

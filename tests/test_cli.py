@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import cli
+from artifact import cli, scattering
+from artifact import graph as graphmod
 from artifact.cli import DocumentError, GraphDocument, loads_document, main
 
 FIXTURES = ["kirchhoff_star.json", "free_two_line.json", "robin_delta.json",
@@ -130,6 +131,12 @@ def test_structural_errors_are_input_errors(tmp_path):
     data = _ring_doc()
     data["vertices"][0]["bc"] = {"kind": "robin", "phi": 0.5}
     with pytest.raises(DocumentError, match="exactly 1 endpoint"):
+        GraphDocument.from_dict(data).to_graph()
+    data["vertices"][0]["bc"] = {"kind": "delta", "strength": 1.0}
+    with pytest.raises(DocumentError, match="exactly 2 endpoints, has 3"):
+        GraphDocument.from_dict(data).to_graph()
+    data["vertices"][0]["bc"] = {"kind": "matrix", "A": [[[1, 0]]], "B": [[[0, 0]]]}
+    with pytest.raises(DocumentError, match="matrices must be 3 x 3 for 3 endpoints"):
         GraphDocument.from_dict(data).to_graph()
     # dangling endpoint
     data = _ring_doc()
@@ -262,23 +269,16 @@ def test_sweep_rejects_closed_graphs_and_bad_grids(capsys):
     capsys.readouterr()
 
 
-def test_workers_env(tmp_path, capsys, monkeypatch):
-    path = _fixture_path("ring.json")
-    args = ["sweep", path, "--emin", "0.5", "--emax", "20", "--points", "16",
-            "--out"]
-    base = tmp_path / "w1.csv"
-    monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
-    assert main(args + [str(base)]) == 0
-    threaded = tmp_path / "w3.csv"
-    monkeypatch.setenv(cli.ENV_WORKERS, "3")
-    assert main(args + [str(threaded)]) == 0
-    assert base.read_bytes() == threaded.read_bytes()
-
-    monkeypatch.setenv(cli.ENV_WORKERS, "abc")
-    assert main(args + [str(tmp_path / "bad.csv")]) == 2
-    monkeypatch.setenv(cli.ENV_WORKERS, "0")
-    assert main(args + [str(tmp_path / "bad.csv")]) == 2
-    capsys.readouterr()
+def test_sweep_refuses_non_unitary_minimum_norm_rows(capsys):
+    # k a of 1e-150 and 1e150: Z(E) is numerically singular and its
+    # minimum-norm solution is far from a unitary S-matrix
+    assert main(["sweep", _fixture_path("ring.json"), "--emin", "1e-300",
+                 "--emax", "1e300", "--points", "6"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[-1] for row in out[1:]] == ["InconsistentSystem"] * 6
+    gbc = graphmod.assemble(loads_document(_fixture_text("ring.json")).to_graph())
+    with pytest.raises(scattering.InconsistentSystem, match="unitarity defect"):
+        scattering.solve_scattering(gbc, 1e20)
 
 
 def test_spectrum_ring(capsys):
@@ -338,6 +338,27 @@ def test_compose_input_errors(capsys):
     assert main(["compose", _fixture_path("ring.json"), "--cut", "i1,i2",
                  "--energies", "-3"]) == 2
     capsys.readouterr()
+
+
+def test_compose_cuts_and_assembles_once(monkeypatch, capsys):
+    counts = dict.fromkeys(("cut", "assemble"), 0)
+
+    def counting(name):
+        original = getattr(graphmod, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphmod, name, wrapper)
+
+    counting("cut")
+    counting("assemble")
+    assert main(["compose", _fixture_path("ring.json"), "--cut", "i1,i2",
+                 "--energies", "0.7,1.3,2.9,5.0,14.0"]) == 0
+    capsys.readouterr()
+    # the left side, the right side and the whole graph
+    assert counts == {"cut": 1, "assemble": 3}
 
 
 def test_selftest_passes_and_is_deterministic(capsys):

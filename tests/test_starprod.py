@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import numkernel, scattering, starprod
+from artifact import cli, numkernel, scattering, starprod
 from artifact.boundary import (DimensionMismatch, InvalidParameters,
                                kirchhoff_standard, random_unitary)
 from artifact.graph import MetricGraph, Vertex, assemble, cut, ext_ref, int_ref
 from artifact.starprod import (ConditionAViolated, StarOperands,
                                associativity_check, compose_smatrices,
-                               condition_a, factorize_graph, star)
+                               condition_a, factorize_graph, factorize_many,
+                               star)
 
 
 def _draw_operands(rng, allow_p0=False):
@@ -247,6 +248,30 @@ def test_factorize_tadpole_closed_form_and_resonance():
     with pytest.raises(ConditionAViolated) as info:
         factorize_graph(g, ["loop"], 4 * np.pi ** 2)
     assert info.value.margin < 1e-8
+
+
+def test_factorize_many_equals_factorize_graph_bit_for_bit():
+    rng = np.random.default_rng(21)
+    cases = [(_ring(), ["i1", "i2"], [0.7, 2.9, 14.0]),
+             (_tadpole(), ["loop"], [0.5, 4 * np.pi ** 2, 11.0])]
+    for _ in range(4):
+        g, bridge_ids = cli._random_graph(rng)
+        cases.append((g, bridge_ids, [float(e) for e in rng.uniform(0.3, 12.0, 4)]))
+    for g, cut_ids, energies in cases:
+        for e, out in zip(energies, factorize_many(g, cut_ids, energies)):
+            if isinstance(out, ConditionAViolated):
+                with pytest.raises(ConditionAViolated) as info:
+                    factorize_graph(g, cut_ids, e)
+                assert info.value.margin == out.margin
+                continue
+            composed, direct, defect = factorize_graph(g, cut_ids, e)
+            assert np.array_equal(out[0], composed)
+            assert np.array_equal(out[1], direct)
+            assert out[2] == defect
+    # the tadpole resonance is returned in place, carrying its margin
+    outcomes = factorize_many(_tadpole(), ["loop"], [0.5, 4 * np.pi ** 2])
+    assert isinstance(outcomes[0], tuple)
+    assert isinstance(outcomes[1], ConditionAViolated) and outcomes[1].margin < 1e-8
 
 
 def test_compose_rejects_mismatched_inputs():
