@@ -130,15 +130,29 @@ class Admissibility:
                 f"hermiticity defect {self.hermiticity_defect:.3e}")
 
 
+def measure_admissibility_stack(a: np.ndarray, b: np.ndarray) -> list[Admissibility]:
+    """Admissibility numbers of every pair of a stack of ``(G, d, d)`` blocks
+    ``a[i], b[i]``, from two stacked SVD calls whatever ``G`` is.
+
+    Each pair's numbers equal a one-pair measurement bit for bit: LAPACK
+    decomposes every matrix of a stack on its own.
+    """
+    h = a @ b.conj().swapaxes(-1, -2)
+    sigma = np.linalg.svd(np.concatenate([a, b], axis=-1), compute_uv=False)
+    # ||A B^dagger - B A^dagger||, ||A||, ||B||: largest singular values
+    # (initial=0.0 gives 0 for 0 x 0 blocks and changes nothing else)
+    defect, norm_a, norm_b = np.linalg.svd(
+        np.concatenate([h - h.conj().swapaxes(-1, -2), a, b]), compute_uv=False,
+    ).max(axis=-1, initial=0.0).reshape(3, -1).tolist()
+    return [Admissibility(*numbers)
+            for numbers in zip(sigma, defect, norm_a, norm_b)]
+
+
 def measure_admissibility(bc: BoundaryCondition) -> Admissibility:
-    """Measure the admissibility numbers of ``bc`` (four small SVDs of N x N or
-    N x 2N matrices)."""
-    return Admissibility(
-        singular_values=np.linalg.svd(np.hstack([bc.A, bc.B]), compute_uv=False),
-        hermiticity_defect=numkernel.hermiticity_defect(bc.A @ bc.B.conj().T),
-        norm_a=numkernel.spectral_norm(bc.A),
-        norm_b=numkernel.spectral_norm(bc.B),
-    )
+    """Measure the admissibility numbers of ``bc``: the one-pair case of
+    :func:`measure_admissibility_stack`."""
+    (numbers,) = measure_admissibility_stack(bc.A[None], bc.B[None])
+    return numbers
 
 
 def combine_admissibility(parts) -> Admissibility:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -894,7 +895,9 @@ def cmd_selftest(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="artifact",
         description="Scattering on metric graphs: validate couplings, sweep "

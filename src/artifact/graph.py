@@ -14,7 +14,7 @@ derivatives, which is the layout the scattering solver consumes.  Tadpoles
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -160,14 +160,18 @@ class GlobalBC:
 
     ``bc`` has size ``n + 2m`` with columns ordered as externals, internal
     near ends, internal far ends (inward derivative convention built in).
+    ``admissibility``, when given, must be the exact admissibility numbers of
+    ``bc`` (as :func:`assemble` knows them from the vertex blocks); otherwise
+    they are measured on first use.
     """
 
     n: int
     m: int
     lengths: tuple
     bc: BoundaryCondition
+    admissibility: InitVar[boundary.Admissibility | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, admissibility):
         lengths = tuple(float(a) for a in self.lengths)
         object.__setattr__(self, "lengths", lengths)
         if len(lengths) != self.m:
@@ -178,20 +182,23 @@ class GlobalBC:
             raise InvalidGraph(
                 f"global condition has size {self.bc.dim}, expected "
                 f"{self.n + 2 * self.m}")
+        object.__setattr__(self, "_admissibility", admissibility)
+
+    def admissibility_numbers(self) -> boundary.Admissibility:
+        """The admissibility numbers of ``bc``.
+
+        They do not depend on the energy, so they are measured at most once
+        per instance, and not at all when given at construction.
+        """
+        if self._admissibility is None:
+            object.__setattr__(self, "_admissibility",
+                               boundary.measure_admissibility(self.bc))
+        return self._admissibility
 
     def require_admissible(self) -> None:
         """Raise :class:`~artifact.boundary.InvalidBoundaryCondition` unless
-        ``bc`` is admissible at ``boundary.DEFAULT_TOL``.
-
-        Admissibility does not depend on the energy, so it is measured at most
-        once per instance; :func:`assemble` records it from the vertex blocks,
-        which spares the N x N measurement altogether.
-        """
-        numbers = self.__dict__.get("_admissibility")
-        if numbers is None:
-            numbers = boundary.measure_admissibility(self.bc)
-            object.__setattr__(self, "_admissibility", numbers)
-        numbers.require(boundary.DEFAULT_TOL)
+        ``bc`` is admissible at ``boundary.DEFAULT_TOL``."""
+        self.admissibility_numbers().require(boundary.DEFAULT_TOL)
 
 
 @dataclass(frozen=True)
@@ -212,12 +219,16 @@ class CutMap:
 def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
     """Merge the local vertex conditions into the global pair ``(A, B)``.
 
-    Each vertex is validated at ``tol``; the global pair's admissibility
-    numbers are combined from the vertex ones, so
+    The vertices of each size are measured together
+    (:func:`boundary.measure_admissibility_stack`) and their blocks written
+    into ``(A, B)`` by one indexed assignment, so the numpy calls do not grow
+    with the vertex count.  Each vertex is judged at ``tol``; the global
+    pair's admissibility numbers are combined from the vertex ones, so
     :meth:`GlobalBC.require_admissible` needs no work on the N x N pair.
 
     Raises:
-        InvalidBoundaryCondition: if any vertex condition is inadmissible.
+        InvalidBoundaryCondition: for the first inadmissible vertex, in the
+            order of ``g.vertices``.
     """
     n, m = g.n, g.m
     size = n + 2 * m
@@ -230,26 +241,33 @@ def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
 
     a = np.zeros((size, size), dtype=complex)
     b = np.zeros((size, size), dtype=complex)
-    parts = []
-    row = 0
-    for vi, v in enumerate(g.vertices):
-        numbers = boundary.measure_admissibility(v.bc)
+    vertices = g.vertices
+    first_row = np.cumsum([0] + [v.bc.dim for v in vertices])
+    assert first_row[-1] == size
+    by_size: dict[int, list[int]] = {}
+    for vi, v in enumerate(vertices):
+        by_size.setdefault(v.bc.dim, []).append(vi)
+    parts = [None] * len(vertices)
+    for d, members in by_size.items():
+        a_blocks = np.stack([vertices[vi].bc.A for vi in members])
+        b_blocks = np.stack([vertices[vi].bc.B for vi in members])
+        for vi, numbers in zip(members,
+                               boundary.measure_admissibility_stack(a_blocks, b_blocks)):
+            parts[vi] = numbers
+        rows = (first_row[members][:, None] + np.arange(d))[:, :, None]
+        cols = np.array([[col[e] for e in vertices[vi].endpoints]
+                         for vi in members])[:, None, :]
+        a[rows, cols] = a_blocks
+        b[rows, cols] = b_blocks
+    for vi, numbers in enumerate(parts):
         try:
             numbers.require(tol)
         except boundary.InvalidBoundaryCondition as exc:
             raise boundary.InvalidBoundaryCondition(f"vertex {vi}: {exc}")
-        parts.append(numbers)
-        cols = [col[e] for e in v.endpoints]
-        d = v.bc.dim
-        a[np.ix_(range(row, row + d), cols)] = v.bc.A
-        b[np.ix_(range(row, row + d), cols)] = v.bc.B
-        row += d
-    assert row == size
-    gbc = GlobalBC(n=n, m=m, lengths=tuple(length for _, length in g.internals),
-                   bc=BoundaryCondition(a, b))
     # (A, B) is a row- and column-permuted block sum of the vertex pairs
-    object.__setattr__(gbc, "_admissibility", boundary.combine_admissibility(parts))
-    return gbc
+    return GlobalBC(n=n, m=m, lengths=tuple(length for _, length in g.internals),
+                    bc=BoundaryCondition(a, b),
+                    admissibility=boundary.combine_admissibility(parts))
 
 
 def trivial_vertex_bc() -> BoundaryCondition:

@@ -25,7 +25,7 @@ path on chunks of the energy axis; :func:`solve_scattering` runs it on one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -465,7 +465,9 @@ def check_transpose(gbc: GlobalBC, energy: float) -> float:
     transposes the S-matrix.  For real conditions the S-matrix itself is
     symmetric and that stronger identity is included in the defect."""
     res = solve_scattering(gbc, energy)
-    conj = GlobalBC(gbc.n, gbc.m, gbc.lengths, gbc.bc.conjugate())
+    # conjugation keeps all four admissibility numbers exactly
+    conj = GlobalBC(gbc.n, gbc.m, gbc.lengths, gbc.bc.conjugate(),
+                    gbc.admissibility_numbers())
     res_c = solve_scattering(conj, energy)
     defect = numkernel.spectral_norm(res_c.s.T - res.s)
     if boundary.is_real(gbc.bc):
@@ -482,10 +484,14 @@ def check_duality(gbc: GlobalBC, energy: float) -> float:
     """
     energy = _check_energy(energy)
     res = solve_scattering(gbc, energy)
+    # [-B T | A T] is [A | B] times a signed permutation and
+    # (-B T)(A T)^dagger = -B A^dagger: the numbers are kept, the norms swap
+    numbers = gbc.admissibility_numbers()
     themed = GlobalBC(
         gbc.n, gbc.m,
         tuple(energy * a for a in gbc.lengths),
         boundary.dual(gbc.bc, gbc.n, gbc.m),
+        replace(numbers, norm_a=numbers.norm_b, norm_b=numbers.norm_a),
     )
     res_d = solve_scattering(themed, 1.0 / energy)
     return float(max(

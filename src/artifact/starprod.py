@@ -241,8 +241,10 @@ def factorize_many(g: MetricGraph, edge_ids, energies,
         instance at resonant energies.
 
     Raises:
+        NoExternalLines: when ``g`` has no external lines (nothing composes),
+            before anything is solved.
         a side's solve error, and the direct solve's error at an energy that
-        composed, in grid order.
+            composed, in grid order.
     """
     work = g
     cut_ids = []
@@ -254,13 +256,12 @@ def factorize_many(g: MetricGraph, edge_ids, energies,
         else:
             cut_ids.append(e)
     left, right, cutmap = graphmod.cut(work, cut_ids)
+    if not g.n:
+        raise scattering.NoExternalLines("graph has no external lines to compose")
     grid = list(energies)
-    res_left, res_right = (
-        scattering.solve_many(graphmod.assemble(_normalize_tadpoles(side)), grid)
-        for side in (left, right))
-    direct = graphmod.assemble(g)
-    # without external lines nothing composes (star needs 2p < n' + n'')
-    res_direct = scattering.solve_many(direct, grid) if direct.n else [None] * len(grid)
+    res_left, res_right, res_direct = (
+        scattering.solve_many(graphmod.assemble(graph), grid)
+        for graph in (_normalize_tadpoles(left), _normalize_tadpoles(right), g))
 
     cut_left = {pair[0] for pair in cutmap.pairs}
     cut_right = {pair[1] for pair in cutmap.pairs}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -387,3 +390,38 @@ def test_sweep_rows_carry_the_error_name(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert [line.split(",")[-1] for line in lines[1:]] == ["InvalidBoundaryCondition"] * 3
+
+
+def test_compose_without_external_lines_is_a_named_error(capsys):
+    assert main(["compose", _fixture_path("closed_ring.json"), "--cut", "i1,i2",
+                 "--energies", "2.0"]) == 1
+    assert capsys.readouterr().err == "error: graph has no external lines to compose\n"
+
+
+_COMMANDS = [
+    ["sweep", _fixture_path("ring.json"), "--emin", "1", "--emax", "30", "--points", "4"],
+    ["validate", _fixture_path("tadpole.json"), "--json"],
+    ["sweep", _fixture_path("ring.json"), "--emin", "1", "--emax", "30", "--points", "3",
+     "--uniform-e", "--json", "--tol", "1e-6"],
+    ["compose", _fixture_path("tadpole.json"), "--cut", "loop", "--energies", "1.5,3.0"],
+    ["spectrum", _fixture_path("ring.json"), "--emin", "1", "--emax", "50", "--json"],
+    ["sweep", _fixture_path("ring.json"), "--emin", "1", "--emax", "30", "--points", "4"],
+    ["compose", _fixture_path("ring.json"), "--cut", "i1,i2", "--energies", "0.7",
+     "--json", "--tol", "1e-3"],
+    ["validate", _fixture_path("tadpole.json")],
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # the parser is built once per process: every call must still see its own
+    # flags and the defaults of the flags it leaves out
+    outputs = []
+    for argv in _COMMANDS:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[5] and outputs[0] != outputs[2]
+    for argv, out in zip(_COMMANDS, outputs):
+        fresh = subprocess.run([sys.executable, "-m", "artifact.cli", *argv],
+                               capture_output=True, text=True, check=True,
+                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert fresh.stdout == out, argv

@@ -1,8 +1,10 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import boundary, graph, scattering
+from artifact import boundary, cli, graph, numkernel, scattering
 from artifact.boundary import (BoundaryCondition, InvalidBoundaryCondition,
                                InvalidParameters, kirchhoff_standard, random_bc)
 from artifact.graph import (InvalidGraph, MetricGraph, NotACut, UnknownEdge,
@@ -274,3 +276,89 @@ def test_assembled_verdict_matches_global_validation():
                     scattering.solve_scattering(gbc, 1.3)
             verdicts.append(expected)
     assert verdicts.count(False) == 8
+
+
+def _delta_chain(junctions, rng):
+    """Two leads joined through ``junctions`` delta junctions (all 2 x 2)."""
+    edges = [f"e{j}" for j in range(junctions - 1)]
+    ends = [ext_ref("l")] + [x for e in edges for x in (int_ref(e, "0"), int_ref(e, "a"))]
+    ends.append(ext_ref("r"))
+    vertices = tuple(Vertex((ends[2 * j], ends[2 * j + 1]),
+                            boundary.delta_coupling(float(rng.uniform(-3.0, 3.0))))
+                     for j in range(junctions))
+    return MetricGraph(("l", "r"), tuple((e, float(rng.uniform(0.2, 2.0))) for e in edges),
+                       vertices)
+
+
+def _assembly_cases():
+    fixtures = resources.files("artifact") / "fixtures"
+    cases = [cli.load_document(str(path)).to_graph()
+             for path in sorted(fixtures.iterdir()) if path.name.endswith(".json")]
+    rng = np.random.default_rng(33)
+    for _ in range(12):
+        g = cli._random_graph(rng)[0]
+        cases.append(g)
+        for _ in range(3):   # mixed vertex sizes, more vertices than sizes
+            g = insert_trivial_vertex(g, g.internals[-1][0], 0.4)
+        cases.append(g)
+    cases.append(_delta_chain(200, rng))
+    return cases
+
+
+def test_assembled_pair_equals_per_vertex_measurements():
+    for g in _assembly_cases():
+        gbc = assemble(g)
+        n, m = g.n, g.m
+        col = {ext_ref(e): j for j, e in enumerate(g.externals)}
+        for j, (i, _) in enumerate(g.internals):
+            col[int_ref(i, "0")], col[int_ref(i, "a")] = n + j, n + m + j
+        a = np.zeros((n + 2 * m,) * 2, dtype=complex)
+        b = np.zeros_like(a)
+        row = 0
+        for v in g.vertices:
+            cols = [col[e] for e in v.endpoints]
+            a[np.ix_(range(row, row + v.bc.dim), cols)] = v.bc.A
+            b[np.ix_(range(row, row + v.bc.dim), cols)] = v.bc.B
+            row += v.bc.dim
+        assert np.array_equal(gbc.bc.A, a) and np.array_equal(gbc.bc.B, b)
+        parts = [boundary.measure_admissibility(v.bc) for v in g.vertices]
+        for v, p in zip(g.vertices, parts):
+            # the one-pair measurement is the arithmetic of a lone SVD per number
+            assert np.array_equal(p.singular_values, np.linalg.svd(
+                np.hstack([v.bc.A, v.bc.B]), compute_uv=False))
+            assert p.hermiticity_defect == numkernel.hermiticity_defect(
+                v.bc.A @ v.bc.B.conj().T)
+            assert p.norm_a == numkernel.spectral_norm(v.bc.A)
+            assert p.norm_b == numkernel.spectral_norm(v.bc.B)
+        expected = boundary.combine_admissibility(parts)
+        got = gbc.admissibility_numbers()
+        assert np.array_equal(got.singular_values, expected.singular_values)
+        assert (got.hermiticity_defect, got.norm_a, got.norm_b) == (
+            expected.hermiticity_defect, expected.norm_a, expected.norm_b)
+
+
+def test_assemble_names_the_first_inadmissible_vertex():
+    # vertex 1 (size 1) and vertex 2 (size 2) both fail; the size-2 vertices
+    # are measured first, yet the error names vertex 1
+    rank_one = BoundaryCondition([[1.0, 0.0], [1.0, 0.0]], np.zeros((2, 2)))
+    zero = BoundaryCondition(np.zeros((1, 1)), np.zeros((1, 1)))
+    g = MetricGraph(("l1", "l2", "l3"), (("i", 1.0),),
+                    (Vertex((ext_ref("l1"), int_ref("i", "0")), trivial_vertex_bc()),
+                     Vertex((ext_ref("l2"),), zero),
+                     Vertex((int_ref("i", "a"), ext_ref("l3")), rank_one)))
+    with pytest.raises(InvalidBoundaryCondition) as info:
+        assemble(g)
+    assert str(info.value) == ("vertex 1: boundary condition is not admissible: "
+                               "rank 0 of 1, hermiticity defect 0.000e+00")
+
+
+def test_assemble_measures_once_per_vertex_size(monkeypatch):
+    rng = np.random.default_rng(5)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for g in (_delta_chain(200, rng), insert_trivial_vertex(_ring(), "i1")):
+        calls.clear()
+        assemble(g)
+        sizes = {v.bc.dim for v in g.vertices}
+        assert 0 < len(calls) <= 4 * len(sizes) < len(g.vertices) * 4

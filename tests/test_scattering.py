@@ -406,3 +406,29 @@ def test_solve_scattering_validates_never_and_decomposes_once(monkeypatch):
     res = solve_scattering(gbc, 2.0)
     assert counts == {"validate": 0, "measure_admissibility": 0, "svd": 1, "solve": 1}
     assert res.solve_path == scattering.REGULAR and 0.0 < res.sigma_ratio < 1.0
+
+
+def test_transforms_inherit_admissibility(monkeypatch):
+    rng = np.random.default_rng(9)
+    v0 = Vertex((ext_ref("l1"), int_ref("b", "0")), random_bc(2, rng))
+    v1 = Vertex((int_ref("b", "a"), ext_ref("l2"), ext_ref("l3")), random_bc(3, rng))
+    graphs = [_ring(), MetricGraph(("l1", "l2", "l3"), (("b", 0.8),), (v0, v1))]
+    measured, solved = [], []
+    measure, solve = boundary.measure_admissibility, scattering.solve_scattering
+    monkeypatch.setattr(boundary, "measure_admissibility",
+                        lambda bc: measured.append(bc) or measure(bc))
+    monkeypatch.setattr(scattering, "solve_scattering",
+                        lambda gbc, e: solved.append(gbc) or solve(gbc, e))
+    for gbc in map(assemble, graphs):
+        for e in (0.7, 2.9):
+            assert check_transpose(gbc, e) < 1e-10
+            assert check_duality(gbc, e) < 1e-10
+    assert measured == []
+    # the conjugate and the dual pair carry the exact numbers of the source:
+    # a fresh measurement agrees to rounding
+    assert len(solved) == 16
+    for gbc in solved:
+        got, fresh = gbc.admissibility_numbers(), measure(gbc.bc)
+        assert_allclose(got.singular_values, fresh.singular_values, rtol=1e-13)
+        assert abs(got.hermiticity_defect - fresh.hermiticity_defect) <= 1e-13
+        assert_allclose([got.norm_a, got.norm_b], [fresh.norm_a, fresh.norm_b], rtol=1e-13)

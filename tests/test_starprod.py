@@ -283,3 +283,16 @@ def test_compose_rejects_mismatched_inputs():
         compose_smatrices(sl[:2, :2], sr, cm, 1.0)
     with pytest.raises(DimensionMismatch):
         compose_smatrices(sl, sr[:2, :2], cm, 1.0)
+
+
+def test_factorize_many_refuses_a_graph_without_external_lines(monkeypatch):
+    v0 = Vertex((int_ref("i1", "0"), int_ref("i2", "0")), kirchhoff_standard(2))
+    v1 = Vertex((int_ref("i1", "a"), int_ref("i2", "a")), kirchhoff_standard(2))
+    closed = MetricGraph((), (("i1", 1.0), ("i2", 1.5)), (v0, v1))
+    solved = []
+    monkeypatch.setattr(scattering, "solve_many", lambda *a: solved.append(a))
+    with pytest.raises(scattering.NoExternalLines):
+        factorize_many(closed, ["i1", "i2"], [2.0, 3.0])
+    with pytest.raises(scattering.NoExternalLines):
+        factorize_graph(closed, ["i1", "i2"], 2.0)
+    assert solved == []
