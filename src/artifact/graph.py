@@ -162,7 +162,8 @@ class GlobalBC:
     near ends, internal far ends (inward derivative convention built in).
     ``admissibility``, when given, must be the exact admissibility numbers of
     ``bc`` (as :func:`assemble` knows them from the vertex blocks); otherwise
-    they are measured on first use.
+    they are measured on first use.  ``real``, when given, must be what
+    :meth:`is_real` would find; otherwise it is tested on first use.
     """
 
     n: int
@@ -170,8 +171,9 @@ class GlobalBC:
     lengths: tuple
     bc: BoundaryCondition
     admissibility: InitVar[boundary.Admissibility | None] = None
+    real: InitVar[bool | None] = None
 
-    def __post_init__(self, admissibility):
+    def __post_init__(self, admissibility, real):
         lengths = tuple(float(a) for a in self.lengths)
         object.__setattr__(self, "lengths", lengths)
         if len(lengths) != self.m:
@@ -183,6 +185,7 @@ class GlobalBC:
                 f"global condition has size {self.bc.dim}, expected "
                 f"{self.n + 2 * self.m}")
         object.__setattr__(self, "_admissibility", admissibility)
+        object.__setattr__(self, "_real", real)
 
     def admissibility_numbers(self) -> boundary.Admissibility:
         """The admissibility numbers of ``bc``.
@@ -194,6 +197,14 @@ class GlobalBC:
             object.__setattr__(self, "_admissibility",
                                boundary.measure_admissibility(self.bc))
         return self._admissibility
+
+    def is_real(self) -> bool:
+        """Whether ``bc`` admits a real representative
+        (:func:`boundary.is_real` at ``boundary.DEFAULT_TOL``), tested at most
+        once per instance, and not at all when given at construction."""
+        if self._real is None:
+            object.__setattr__(self, "_real", boundary.is_real(self.bc))
+        return self._real
 
     def require_admissible(self) -> None:
         """Raise :class:`~artifact.boundary.InvalidBoundaryCondition` unless

@@ -39,11 +39,17 @@ def as_complex_matrix(obj, name: str = "matrix") -> np.ndarray:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value of ``m`` (operator 2-norm)."""
-    m = as_complex_matrix(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    """Largest singular value of ``m`` (operator 2-norm); 0 for an empty ``m``."""
+    return float(spectral_norms(as_complex_matrix(m)[None])[0])
+
+
+def spectral_norms(stack) -> np.ndarray:
+    """:func:`spectral_norm` of every matrix of a ``(G, r, c)`` stack.
+
+    Equal bit for bit to ``np.linalg.norm(stack, 2, axis=(1, 2))``, which
+    takes the same values-only SVD, without its axis bookkeeping.
+    """
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def solve_linear(m, rhs, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -130,6 +136,9 @@ def unitarity_defects(stack) -> np.ndarray:
         raise ValueError(f"unitarity defects need a stack of square matrices, "
                          f"got shape {u.shape}")
     gram = u.conj().transpose(0, 2, 1) @ u
+    # np.linalg.norm takes the same SVD as spectral_norms; it stays here so
+    # that counting np.linalg.svd calls still counts decompositions of Z(E)
+    # alone, not this defect of every solved S block
     return np.linalg.norm(gram - np.eye(u.shape[1]), 2, axis=(1, 2))
 
 
@@ -138,9 +147,7 @@ def hermiticity_defect(m) -> float:
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"hermiticity defect needs a square matrix, got {m.shape}")
-    if m.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.norm(m - m.conj().T, 2))
+    return spectral_norm(m - m.conj().T)
 
 
 def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:

@@ -11,6 +11,14 @@ and is again unitary of size ``n' + n'' - 2p``.  The composition of on-shell
 graph S-matrices is the special case ``V = I`` with the right operand dressed
 by propagation phases, handled by :func:`compose_smatrices` and
 :func:`factorize_many`.
+
+All products run on one stacked kernel, :func:`star_many`: for ``G`` operand
+pairs sharing ``V`` it checks shape, finiteness and unitarity once per stack,
+takes the ``G`` Condition A margins from one stacked eigenvalue call and the
+products from two stacked solves, and reports a resonant or non-unitary pair
+in place without stopping the others.  :func:`star`,
+:attr:`StarOperands.margin` and :func:`compose_smatrices` are its one-pair
+cases, and :func:`factorize_many` composes a whole energy grid as one stack.
 """
 from __future__ import annotations
 
@@ -47,8 +55,9 @@ class StarOperands:
     """Validated inputs of one star product.
 
     ``p`` channels are glued: the last ``p`` of ``u_left`` against the first
-    ``p`` of ``u_right`` through the unitary coupling ``v``.  The Condition A
-    margin is computed eagerly and stored.
+    ``p`` of ``u_right`` through the unitary coupling ``v``.  The checks and
+    the Condition A margin are those of :func:`star_many` for a one-pair
+    stack; the margin is computed eagerly and stored.
     """
 
     u_left: np.ndarray
@@ -60,31 +69,19 @@ class StarOperands:
     def __post_init__(self):
         u_left = numkernel.as_complex_matrix(self.u_left, "u_left")
         u_right = numkernel.as_complex_matrix(self.u_right, "u_right")
-        v = numkernel.as_complex_matrix(self.v, "v")
-        p = int(self.p)
-        n_left, n_right = u_left.shape[0], u_right.shape[0]
-        if u_left.shape != (n_left, n_left) or u_right.shape != (n_right, n_right):
-            raise DimensionMismatch("operands must be square")
-        if not 0 <= p <= min(n_left, n_right):
-            raise InvalidParameters(
-                f"p must satisfy 0 <= p <= min({n_left}, {n_right}), got {p}")
-        if 2 * p >= n_left + n_right:
-            raise InvalidParameters(
-                f"need 2p < n' + n'' (got p={p}, sizes {n_left}, {n_right})")
-        if v.shape != (p, p):
-            raise DimensionMismatch(f"coupling must be {p} x {p}, got {v.shape}")
-        for name, u in (("u_left", u_left), ("u_right", u_right), ("v", v)):
-            defect = numkernel.unitarity_defect(u)
-            if defect > UNITARY_TOL:
-                raise InvalidParameters(
-                    f"{name} is not unitary (defect {defect:.3e})")
+        u_left, u_right, v, p, (error,) = _check_stacks(
+            u_left[None], u_right[None], self.v, int(self.p))
+        if error is not None:
+            raise error
+        (margin,), _, _ = _glue(u_left, u_right, v, p)
+        u_left, u_right = u_left[0], u_right[0]
         for arr in (u_left, u_right, v):
             arr.setflags(write=False)
         object.__setattr__(self, "u_left", u_left)
         object.__setattr__(self, "u_right", u_right)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "margin", _margin(u_left, u_right, v, p))
+        object.__setattr__(self, "margin", float(margin))
 
     @property
     def n_left(self) -> int:
@@ -95,14 +92,131 @@ class StarOperands:
         return self.u_right.shape[0]
 
 
-def _margin(u_left, u_right, v, p) -> float:
+def _as_stack(obj, name: str) -> np.ndarray:
+    m = np.ascontiguousarray(np.asarray(obj, dtype=np.complex128))
+    if m.ndim != 3:
+        raise ValueError(f"{name} must be a stack of matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def _check_stacks(u_left, u_right, v, p: int):
+    """Coerce and check a stack of operand pairs sharing the coupling ``v``.
+
+    Shapes and finiteness are properties of the whole stack and raise.
+    Unitarity is judged per pair, one :func:`numkernel.unitarity_defects`
+    call per operand, and returned as ``errors``: in stack order, the
+    :class:`InvalidParameters` a one-pair check of that pair raises, or None.
+    """
+    u_left = _as_stack(u_left, "u_left")
+    u_right = _as_stack(u_right, "u_right")
+    v = numkernel.as_complex_matrix(v, "v")
+    n_left, n_right = u_left.shape[1], u_right.shape[1]
+    if u_left.shape[1:] != (n_left, n_left) or u_right.shape[1:] != (n_right, n_right):
+        raise DimensionMismatch("operands must be square")
+    if len(u_left) != len(u_right):
+        raise DimensionMismatch(
+            f"operand stacks hold {len(u_left)} and {len(u_right)} matrices")
+    if not 0 <= p <= min(n_left, n_right):
+        raise InvalidParameters(
+            f"p must satisfy 0 <= p <= min({n_left}, {n_right}), got {p}")
+    if 2 * p >= n_left + n_right:
+        raise InvalidParameters(
+            f"need 2p < n' + n'' (got p={p}, sizes {n_left}, {n_right})")
+    if v.shape != (p, p):
+        raise DimensionMismatch(f"coupling must be {p} x {p}, got {v.shape}")
+    defect_v = numkernel.unitarity_defect(v)
+    errors = []
+    for defects in zip(numkernel.unitarity_defects(u_left),
+                       numkernel.unitarity_defects(u_right)):
+        failed = next(((name, defect) for name, defect
+                       in zip(("u_left", "u_right", "v"), (*defects, defect_v))
+                       if defect > UNITARY_TOL), None)
+        errors.append(failed and InvalidParameters(
+            f"{failed[0]} is not unitary (defect {failed[1]:.3e})"))
+    return u_left, u_right, v, p, errors
+
+
+def _glue(u_left, u_right, v, p: int):
+    """Condition A margins of a checked stack, from one stacked ``eigvals``.
+
+    Returns ``(margins, glue, v_inv)`` with ``glue = V U'_22 V^{-1} U''_11``
+    for every pair (None when ``p == 0``: nothing is glued, every margin is
+    infinite).
+    """
     if p == 0:
-        return np.inf
-    corner_left = u_left[-p:, -p:]
-    corner_right = u_right[:p, :p]
+        return np.full(len(u_left), np.inf), None, None
     v_inv = np.linalg.inv(v)
-    eigs = np.linalg.eigvals(v @ corner_left @ v_inv @ corner_right)
-    return float(np.min(np.abs(eigs - 1.0)))
+    glue = v @ u_left[:, -p:, -p:] @ v_inv @ u_right[:, :p, :p]
+    margins = np.abs(np.linalg.eigvals(glue) - 1.0).min(axis=-1)
+    return margins, glue, v_inv
+
+
+def _star_checked(u_left, u_right, v, p: int, errors, tol: float) -> list:
+    """:func:`star_many` on a stack that :func:`_check_stacks` accepted."""
+    margins, glue, v_inv = _glue(u_left, u_right, v, p)
+    outcomes = list(errors)
+    rows = []
+    for i, (error, margin) in enumerate(zip(errors, margins.tolist())):
+        if error is not None:
+            continue
+        if margin > tol:
+            rows.append(i)
+        else:
+            outcomes[i] = ConditionAViolated(
+                f"Condition A violated: eigenvalue within {margin:.3e} of 1", margin)
+    if not rows:
+        return outcomes
+    nl, nr = u_left.shape[1], u_right.shape[1]
+    ul, ur = u_left[rows], u_right[rows]
+    if p == 0:
+        out = np.zeros((len(rows), nl + nr, nl + nr), dtype=complex)
+        out[:, :nl, :nl] = ul
+        out[:, nl:, nl:] = ur
+    else:
+        u11_l, u12_l = ul[:, :nl - p, :nl - p], ul[:, :nl - p, nl - p:]
+        u21_l, u22_l = ul[:, nl - p:, :nl - p], ul[:, nl - p:, nl - p:]
+        u11_r, u12_r = ur[:, :p, :p], ur[:, :p, p:]
+        u21_r, u22_r = ur[:, p:, :p], ur[:, p:, p:]
+        eye = np.eye(p)
+        shape = (len(rows), p, p)
+        k1 = np.linalg.solve(eye - glue[rows], np.broadcast_to(v, shape))
+        k2 = np.linalg.solve(eye - v_inv @ u11_r @ v @ u22_l,
+                             np.broadcast_to(v_inv, shape))
+        out = np.zeros((len(rows), nl + nr - 2 * p, nl + nr - 2 * p), dtype=complex)
+        out[:, :nl - p, :nl - p] = u11_l + u12_l @ k2 @ u11_r @ v @ u21_l
+        out[:, :nl - p, nl - p:] = u12_l @ k2 @ u12_r
+        out[:, nl - p:, :nl - p] = u21_r @ k1 @ u21_l
+        out[:, nl - p:, nl - p:] = u22_r + u21_r @ k1 @ u22_l @ v_inv @ u12_r
+    for i, product in zip(rows, out):
+        outcomes[i] = product
+    return outcomes
+
+
+def star_many(u_left, u_right, v, tol: float = CONDITION_A_TOL) -> list:
+    """Star products of a stack of operand pairs sharing one coupling.
+
+    ``u_left`` is a ``(G, n', n')`` stack, ``u_right`` a ``(G, n'', n'')``
+    stack and ``v`` the ``(p, p)`` coupling.  Shape, finiteness and unitarity
+    are checked once per stack, the ``G`` Condition A margins come from one
+    stacked eigenvalue call, and the products of the non-resonant pairs from
+    two stacked solves; each pair's result equals its one-pair
+    :func:`star` bit for bit.
+
+    Returns:
+        in stack order, the product of each pair (channel order as in
+        :func:`star`) or the exception its one-pair :func:`star` raises:
+        :class:`InvalidParameters` for an operand farther than
+        ``UNITARY_TOL`` from unitary, :class:`ConditionAViolated` (carrying
+        ``.margin``) where the glue blocks resonate at ``tol``.
+
+    Raises:
+        DimensionMismatch, InvalidParameters, ValueError: for a malformed
+            stack (shapes, ``p`` out of range, non-finite entries).
+    """
+    v = numkernel.as_complex_matrix(v, "v")
+    return _star_checked(*_check_stacks(u_left, u_right, v, v.shape[0]), tol)
 
 
 def condition_a(ops: StarOperands, tol: float = CONDITION_A_TOL):
@@ -111,7 +225,8 @@ def condition_a(ops: StarOperands, tol: float = CONDITION_A_TOL):
 
 
 def star(ops: StarOperands, tol: float = CONDITION_A_TOL) -> np.ndarray:
-    """The generalized star product of the operands.
+    """The generalized star product of the operands: :func:`star_many` for a
+    one-pair stack.
 
     Returns a unitary of size ``n' + n'' - 2p`` whose channel order is
     (untouched left channels, untouched right channels).
@@ -119,31 +234,10 @@ def star(ops: StarOperands, tol: float = CONDITION_A_TOL) -> np.ndarray:
     Raises:
         ConditionAViolated: when the glue blocks resonate at ``tol``.
     """
-    ok, margin = condition_a(ops, tol)
-    if not ok:
-        raise ConditionAViolated(
-            f"Condition A violated: eigenvalue within {margin:.3e} of 1", margin)
-    p = ops.p
-    nl, nr = ops.n_left, ops.n_right
-    ul, ur, v = ops.u_left, ops.u_right, ops.v
-    u11_l, u12_l = ul[:nl - p, :nl - p], ul[:nl - p, nl - p:]
-    u21_l, u22_l = ul[nl - p:, :nl - p], ul[nl - p:, nl - p:]
-    u11_r, u12_r = ur[:p, :p], ur[:p, p:]
-    u21_r, u22_r = ur[p:, :p], ur[p:, p:]
-    if p == 0:
-        out = np.zeros((nl + nr, nl + nr), dtype=complex)
-        out[:nl, :nl] = ul
-        out[nl:, nl:] = ur
-        return out
-    v_inv = np.linalg.inv(v)
-    eye = np.eye(p)
-    k1 = np.linalg.solve(eye - v @ u22_l @ v_inv @ u11_r, v)
-    k2 = np.linalg.solve(eye - v_inv @ u11_r @ v @ u22_l, v_inv)
-    out = np.zeros((nl + nr - 2 * p, nl + nr - 2 * p), dtype=complex)
-    out[:nl - p, :nl - p] = u11_l + u12_l @ k2 @ u11_r @ v @ u21_l
-    out[:nl - p, nl - p:] = u12_l @ k2 @ u12_r
-    out[nl - p:, :nl - p] = u21_r @ k1 @ u21_l
-    out[nl - p:, nl - p:] = u22_r + u21_r @ k1 @ u22_l @ v_inv @ u12_r
+    (out,) = _star_checked(ops.u_left[None], ops.u_right[None], ops.v, ops.p,
+                           [None], tol)
+    if isinstance(out, Exception):
+        raise out
     return out
 
 
@@ -183,7 +277,7 @@ def _permutation(ids, order) -> list[int]:
 
 def compose_smatrices(s_left, s_right, cutmap: CutMap, energy: float,
                       tol: float = CONDITION_A_TOL) -> np.ndarray:
-    """Compose the S-matrices of the two sides of a cut.
+    """Compose the S-matrices of the two sides of a cut at one energy.
 
     ``s_left``/``s_right`` are indexed by ``cutmap.left_externals`` /
     ``cutmap.right_externals``.  The cut channels are moved to the trailing
@@ -191,36 +285,47 @@ def compose_smatrices(s_left, s_right, cutmap: CutMap, energy: float,
     propagation phases ``exp(i sqrt(E) a)`` of the severed lines, and the
     operands are starred with identity coupling.  The result is indexed by
     (left non-cut channels, right non-cut channels), in their original order.
+    This is the one-energy case of the stacked composition that
+    :func:`factorize_many` runs on a whole grid.
 
     Raises:
         ConditionAViolated: at energies where the glued blocks resonate.
     """
-    energy = float(energy)
     s_left = numkernel.as_complex_matrix(s_left, "s_left")
     s_right = numkernel.as_complex_matrix(s_right, "s_right")
+    (out,) = _compose_many(s_left[None], s_right[None], cutmap, [energy], tol)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _compose_many(s_left, s_right, cutmap: CutMap, energies, tol: float) -> list:
+    """:func:`compose_smatrices` at every energy of a grid: the ``(G, ., .)``
+    stacks are permuted and dressed at once and starred by :func:`star_many`,
+    whose per-energy outcomes are returned."""
     pairs = cutmap.pairs
     p = len(pairs)
-    if s_left.shape != (len(cutmap.left_externals),) * 2:
+    if s_left.shape[1:] != (len(cutmap.left_externals),) * 2:
         raise DimensionMismatch(
-            f"s_left is {s_left.shape}, cut map lists "
+            f"s_left is {s_left.shape[1:]}, cut map lists "
             f"{len(cutmap.left_externals)} left channels")
-    if s_right.shape != (len(cutmap.right_externals),) * 2:
+    if s_right.shape[1:] != (len(cutmap.right_externals),) * 2:
         raise DimensionMismatch(
-            f"s_right is {s_right.shape}, cut map lists "
+            f"s_right is {s_right.shape[1:]}, cut map lists "
             f"{len(cutmap.right_externals)} right channels")
     cut_left = [pair[0] for pair in pairs]
     cut_right = [pair[1] for pair in pairs]
     keep_left = [e for e in cutmap.left_externals if e not in cut_left]
     keep_right = [e for e in cutmap.right_externals if e not in cut_right]
-    perm_l = _permutation(cutmap.left_externals, keep_left + cut_left)
-    perm_r = _permutation(cutmap.right_externals, cut_right + keep_right)
-    sl = s_left[np.ix_(perm_l, perm_l)]
-    sr = s_right[np.ix_(perm_r, perm_r)]
-    k = np.sqrt(scattering._check_energy(energy))
-    phases = np.exp(1j * k * np.array([pair[2] for pair in pairs]))
-    dress = np.concatenate([phases, np.ones(len(keep_right))])
-    dressed = sr * dress[:, None] * dress[None, :]
-    return star(StarOperands(sl, dressed, np.eye(p), p), tol)
+    perm_l = np.array(_permutation(cutmap.left_externals, keep_left + cut_left))
+    perm_r = np.array(_permutation(cutmap.right_externals, cut_right + keep_right))
+    sl = s_left[:, perm_l[:, None], perm_l]
+    sr = s_right[:, perm_r[:, None], perm_r]
+    k = np.sqrt([scattering._check_energy(float(e)) for e in energies])
+    phases = np.exp(1j * k[:, None] * np.array([pair[2] for pair in pairs]))
+    dress = np.concatenate([phases, np.ones((len(k), len(keep_right)))], axis=1)
+    dressed = sr * dress[:, :, None] * dress[:, None, :]
+    return star_many(sl, dressed, np.eye(p), tol)
 
 
 def factorize_many(g: MetricGraph, edge_ids, energies,
@@ -232,8 +337,10 @@ def factorize_many(g: MetricGraph, edge_ids, energies,
     tadpole directly can never split the graph); tadpoles remaining inside
     either side are likewise normalized before the side is solved.  The cut
     and the three assembled graphs are built once, and each is solved over
-    the whole grid by :func:`scattering.solve_many`.  The composed matrix is
-    re-ordered to the external-channel order of ``g``.
+    the whole grid by :func:`scattering.solve_many`.  The side S-matrices are
+    then composed as one stack by :func:`star_many`, re-ordered to the
+    external-channel order of ``g``, and compared with the direct ones by one
+    stacked spectral norm.
 
     Returns:
         in grid order, ``(s_composed, s_direct, defect)`` with ``defect`` the
@@ -243,8 +350,9 @@ def factorize_many(g: MetricGraph, edge_ids, energies,
     Raises:
         NoExternalLines: when ``g`` has no external lines (nothing composes),
             before anything is solved.
-        a side's solve error, and the direct solve's error at an energy that
-            composed, in grid order.
+        in grid order, the first of: a side's solve error, an operand's
+            :class:`InvalidParameters`, and the direct solve's error at an
+            energy that composed.
     """
     work = g
     cut_ids = []
@@ -263,26 +371,37 @@ def factorize_many(g: MetricGraph, edge_ids, energies,
         scattering.solve_many(graphmod.assemble(graph), grid)
         for graph in (_normalize_tadpoles(left), _normalize_tadpoles(right), g))
 
-    cut_left = {pair[0] for pair in cutmap.pairs}
-    cut_right = {pair[1] for pair in cutmap.pairs}
-    composed_ids = ([e for e in cutmap.left_externals if e not in cut_left]
-                    + [e for e in cutmap.right_externals if e not in cut_right])
-    perm = _permutation(composed_ids, list(g.externals))
-    outcomes = []
-    for energy, sl, sr, sd in zip(grid, res_left, res_right, res_direct):
-        for res in (sl, sr):
-            if isinstance(res, Exception):
-                raise res
-        try:
-            composed = compose_smatrices(sl.s, sr.s, cutmap, energy, tol)
-        except ConditionAViolated as exc:
-            outcomes.append(exc)
+    # every energy before the first side error composes; that error is
+    # raised once the energies before it have raised theirs
+    sides = list(zip(res_left, res_right))
+    solved = next((i for i, pair in enumerate(sides)
+                   if any(isinstance(res, Exception) for res in pair)), len(grid))
+    outcomes = _compose_many(
+        np.stack([sl.s for sl, _ in sides[:solved]]),
+        np.stack([sr.s for _, sr in sides[:solved]]),
+        cutmap, grid[:solved], tol) if solved else []
+    composed = []
+    for i, out in enumerate(outcomes):
+        if isinstance(out, ConditionAViolated):
             continue
-        if isinstance(sd, Exception):
-            raise sd
-        s_composed = composed[np.ix_(perm, perm)]
-        defect = float(numkernel.spectral_norm(s_composed - sd.s))
-        outcomes.append((s_composed, sd.s, defect))
+        if isinstance(out, Exception):
+            raise out
+        if isinstance(res_direct[i], Exception):
+            raise res_direct[i]
+        composed.append(i)
+    if solved < len(grid):
+        raise next(res for res in sides[solved] if isinstance(res, Exception))
+    if composed:
+        cut_left = {pair[0] for pair in cutmap.pairs}
+        cut_right = {pair[1] for pair in cutmap.pairs}
+        composed_ids = ([e for e in cutmap.left_externals if e not in cut_left]
+                        + [e for e in cutmap.right_externals if e not in cut_right])
+        perm = np.array(_permutation(composed_ids, list(g.externals)))
+        s_composed = np.stack([outcomes[i] for i in composed])[:, perm[:, None], perm]
+        s_direct = [res_direct[i].s for i in composed]
+        defects = numkernel.spectral_norms(s_composed - np.stack(s_direct))
+        for i, sc, sd, defect in zip(composed, s_composed, s_direct, defects.tolist()):
+            outcomes[i] = (sc, sd, defect)
     return outcomes
 
 

@@ -364,6 +364,33 @@ def test_compose_cuts_and_assembles_once(monkeypatch, capsys):
     assert counts == {"cut": 1, "assemble": 3}
 
 
+def test_compose_linalg_calls_do_not_grow_with_the_energies(monkeypatch, capsys):
+    counts = {}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    names = ("eigvals", "solve", "inv", "svd")
+    for name in names:
+        counting(name)
+    seen = []
+    for energies in ("0.7", "0.7,1.3,2.9,5.0,14.0"):
+        counts.update(dict.fromkeys(names, 0))
+        assert main(["compose", _fixture_path("ring.json"), "--cut", "i1,i2",
+                     "--energies", energies]) == 0
+        capsys.readouterr()
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    # one stacked margin, and two stacked solves besides the three sides' ones
+    assert seen[0]["eigvals"] == 1 and seen[0]["solve"] == 5
+
+
 def test_selftest_passes_and_is_deterministic(capsys):
     assert main(["selftest", "--seed", "1"]) == 0
     first = capsys.readouterr().out

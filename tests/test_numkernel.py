@@ -116,3 +116,19 @@ def test_defect_report_fields():
     assert rep.rank == 3
     assert rep.unitarity_defect < 1e-15
     assert rep.tolerance_used > 0
+
+
+def test_spectral_norms_equal_the_norm_reference():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 6):
+        stack = _random_complex(rng, 4 * n, n).reshape(4, n, n)
+        norms = numkernel.spectral_norms(stack)
+        assert np.array_equal(norms, np.linalg.norm(stack, 2, axis=(1, 2)))
+        for m, norm in zip(stack, norms):
+            assert numkernel.spectral_norm(m) == norm
+            assert (numkernel.hermiticity_defect(m)
+                    == np.linalg.norm(m - m.conj().T, 2))
+        assert np.array_equal(numkernel.unitarity_defects(stack), [
+            np.linalg.norm(m.conj().T @ m - np.eye(n), 2) for m in stack])
+    assert numkernel.spectral_norm(np.zeros((0, 3))) == 0.0
+    assert numkernel.hermiticity_defect(np.zeros((0, 0))) == 0.0

@@ -432,3 +432,50 @@ def test_transforms_inherit_admissibility(monkeypatch):
         assert_allclose(got.singular_values, fresh.singular_values, rtol=1e-13)
         assert abs(got.hermiticity_defect - fresh.hermiticity_defect) <= 1e-13
         assert_allclose([got.norm_a, got.norm_b], [fresh.norm_a, fresh.norm_b], rtol=1e-13)
+
+
+def test_is_real_is_tested_once_per_global_bc(monkeypatch):
+    graphs = [_ring(), _two_vertex_graph(12)]
+    tested, solved = [], []
+    equivalent, solve = boundary.equivalent, scattering.solve_scattering
+    monkeypatch.setattr(boundary, "equivalent",
+                        lambda *a, **k: tested.append(a) or equivalent(*a, **k))
+    monkeypatch.setattr(scattering, "solve_scattering",
+                        lambda gbc, e: solved.append(gbc) or solve(gbc, e))
+    for gbc in map(assemble, graphs):
+        before = len(tested)
+        for e in (0.7, 1.3, 2.9, 5.0, 14.0):
+            assert check_transpose(gbc, e) < 1e-10
+        assert len(tested) - before <= 1
+    monkeypatch.undo()
+    # the conjugate pair inherits the verdict of its source
+    assert len(solved) == 20
+    for gbc in solved:
+        assert gbc.is_real() == boundary.is_real(gbc.bc)
+    assert [assemble(g).is_real() for g in graphs] == [True, False]
+
+
+def test_covariance_inherits_admissibility_for_a_unitary_u(monkeypatch):
+    rng = np.random.default_rng(13)
+    gbcs = [assemble(_ring()), assemble(_two_vertex_graph(13))]
+    measured, solved = [], []
+    measure, solve = boundary.measure_admissibility, scattering.solve_scattering
+    monkeypatch.setattr(boundary, "measure_admissibility",
+                        lambda bc: measured.append(bc) or measure(bc))
+    monkeypatch.setattr(scattering, "solve_scattering",
+                        lambda gbc, e: solved.append(gbc) or solve(gbc, e))
+    for gbc in gbcs:
+        for e in (0.7, 2.9):
+            assert check_covariance(gbc, random_unitary(gbc.n, rng), e) < 1e-10
+    assert measured == []
+    assert len(solved) == 8
+    for gbc in solved:
+        got, fresh = gbc.admissibility_numbers(), measure(gbc.bc)
+        assert_allclose(got.singular_values, fresh.singular_values, rtol=1e-13)
+        assert abs(got.hermiticity_defect - fresh.hermiticity_defect) <= 1e-13
+        assert_allclose([got.norm_a, got.norm_b], [fresh.norm_a, fresh.norm_b], rtol=1e-13)
+    # a channel matrix off unitarity by more than 1e-12: the pair is measured
+    u = (1.0 + 1e-11) * random_unitary(gbcs[1].n, rng)
+    assert numkernel.unitarity_defect(u) > 1e-12
+    assert check_covariance(gbcs[1], u, 1.3) < 1e-9
+    assert len(measured) == 1

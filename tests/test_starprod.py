@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dataclasses import replace
+
 from artifact import cli, numkernel, scattering, starprod
+from artifact import graph as graphmod
 from artifact.boundary import (DimensionMismatch, InvalidParameters,
                                kirchhoff_standard, random_unitary)
 from artifact.graph import MetricGraph, Vertex, assemble, cut, ext_ref, int_ref
 from artifact.starprod import (ConditionAViolated, StarOperands,
                                associativity_check, compose_smatrices,
                                condition_a, factorize_graph, factorize_many,
-                               star)
+                               star, star_many)
 
 
 def _draw_operands(rng, allow_p0=False):
@@ -296,3 +299,120 @@ def test_factorize_many_refuses_a_graph_without_external_lines(monkeypatch):
     with pytest.raises(scattering.NoExternalLines):
         factorize_graph(closed, ["i1", "i2"], 2.0)
     assert solved == []
+
+
+def _same_outcome(got, ops_args):
+    """``got`` (a star_many entry) is what star(StarOperands(*ops_args)) gives."""
+    try:
+        expected = star(StarOperands(*ops_args))
+    except (ConditionAViolated, InvalidParameters) as exc:
+        assert type(got) is type(exc) and str(got) == str(exc)
+        assert getattr(got, "margin", None) == getattr(exc, "margin", None)
+        return type(exc)
+    assert np.array_equal(got, expected)
+    return np.ndarray
+
+
+def test_star_many_equals_per_operand_star():
+    rng = np.random.default_rng(22)
+    w = np.exp(0.3j)
+    seen = set()
+    for p in (0, 1, 2, 3):
+        nl, nr = p + int(rng.integers(1, 4)), p + int(rng.integers(1, 4))
+        v = random_unitary(p, rng) if p else np.eye(0)
+        u_left = np.stack([random_unitary(nl, rng) for _ in range(6)])
+        u_right = np.stack([random_unitary(nr, rng) for _ in range(6)])
+        u_right[4] *= 1.5  # not unitary: refused in place
+        if p:  # both glue corners are the identity: resonant for every v
+            u_left[2] = np.diag([w] * (nl - p) + [1.0] * p)
+            u_right[2] = np.diag([1.0] * p + [w] * (nr - p))
+        for i, got in enumerate(star_many(u_left, u_right, v)):
+            seen.add(_same_outcome(got, (u_left[i], u_right[i], v, p)))
+    assert seen == {np.ndarray, ConditionAViolated, InvalidParameters}
+
+
+def test_star_many_checks_the_whole_stack():
+    rng = np.random.default_rng(23)
+    u2 = np.stack([random_unitary(2, rng)] * 3)
+    u3 = np.stack([random_unitary(3, rng)] * 3)
+    with pytest.raises(DimensionMismatch):
+        star_many(u2, u3[:2], np.eye(1))
+    with pytest.raises(DimensionMismatch):
+        star_many(u2, u3, np.ones((1, 2)))
+    with pytest.raises(InvalidParameters):
+        star_many(u2, u2, np.eye(2))
+    bad = u3.copy()
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        star_many(u2, bad, np.eye(1))
+
+
+def _first_error_per_energy(sides, direct, cutmap, grid):
+    """The per-energy loop factorize_many replaced: the exception it raises
+    first, or None."""
+    for energy, sl, sr, sd in zip(grid, *sides, direct):
+        for res in (sl, sr):
+            if isinstance(res, Exception):
+                return res
+        try:
+            compose_smatrices(sl.s, sr.s, cutmap, energy)
+        except ConditionAViolated:
+            continue
+        except InvalidParameters as exc:
+            return exc
+        if isinstance(sd, Exception):
+            return sd
+    return None
+
+
+def test_factorize_many_raises_the_first_error_in_grid_order(monkeypatch):
+    # the tadpole resonates at 4 pi^2 (index 1): nothing composes there, so a
+    # direct error at that energy is never raised
+    g = _tadpole()
+    grid = [0.5, 4 * np.pi ** 2, 2.0, 11.0, 3.0]
+    cut_fn, solve = graphmod.cut, scattering.solve_many
+    cutmaps = []
+    monkeypatch.setattr(graphmod, "cut",
+                        lambda *a: cutmaps.append(cut_fn(*a)) or cutmaps[-1])
+    # sides: 0 left, 1 right, 2 direct; "error" replaces the result by an
+    # exception, "scaled" multiplies its S-matrix by 1.5
+    scenarios = [
+        {},
+        {(2, 1): "error"},
+        {(2, 0): "error", (0, 2): "scaled"},
+        {(0, 0): "scaled", (2, 0): "error"},
+        {(0, 1): "scaled", (2, 2): "error"},
+        {(2, 1): "error", (1, 2): "error"},
+        {(1, 3): "scaled", (0, 3): "error", (2, 2): "error"},
+        {(0, 3): "scaled"},
+        {(1, 2): "scaled", (2, 4): "error"},
+        {(1, 4): "error", (0, 4): "error"},
+    ]
+    raised = set()
+    for scenario in scenarios:
+        results = []
+
+        def fake(gbc, energies, scenario=scenario, results=results):
+            side = len(results)
+            out = solve(gbc, energies)
+            for (s, i), kind in scenario.items():
+                if s == side:
+                    out[i] = (scattering.InconsistentSystem(f"side {s}, energy {i}")
+                              if kind == "error" else replace(out[i], s=1.5 * out[i].s))
+            results.append(out)
+            return out
+
+        monkeypatch.setattr(scattering, "solve_many", fake)
+        try:
+            outcomes = factorize_many(g, ["loop"], grid)
+        except Exception as exc:  # noqa: BLE001 - compared with the reference
+            got = exc
+        else:
+            got = None
+            assert isinstance(outcomes[1], ConditionAViolated)
+        expected = _first_error_per_energy(results[:2], results[2], cutmaps[-1][2], grid)
+        assert type(got) is type(expected) and str(got) == str(expected), scenario
+        if isinstance(expected, scattering.InconsistentSystem):
+            assert got is expected
+        raised.add(type(expected))
+    assert raised == {type(None), scattering.InconsistentSystem, InvalidParameters}
