@@ -121,13 +121,16 @@ class Admissibility:
         """Whether ``A B^dagger`` is Hermitian up to ``tol`` at the product scale."""
         return self.hermiticity_defect <= tol * max(1.0, self.norm_a * self.norm_b)
 
+    def admissible(self, tol: float = DEFAULT_TOL) -> bool:
+        """Whether ``[A | B]`` has full rank and ``A B^dagger`` is Hermitian at ``tol``."""
+        return self.rank(tol) == self.dim and self.hermitian_ok(tol)
+
     def require(self, tol: float = DEFAULT_TOL) -> None:
         """Raise :class:`InvalidBoundaryCondition` unless the pair is admissible."""
-        rank = self.rank(tol)
-        if rank != self.dim or not self.hermitian_ok(tol):
+        if not self.admissible(tol):
             raise InvalidBoundaryCondition(
-                f"boundary condition is not admissible: rank {rank} of {self.dim}, "
-                f"hermiticity defect {self.hermiticity_defect:.3e}")
+                f"boundary condition is not admissible: rank {self.rank(tol)} of "
+                f"{self.dim}, hermiticity defect {self.hermiticity_defect:.3e}")
 
 
 def measure_admissibility_stack(a: np.ndarray, b: np.ndarray) -> list[Admissibility]:

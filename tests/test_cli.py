@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import cli, scattering
+from artifact import scattering, selftest
 from artifact import graph as graphmod
 from artifact.cli import DocumentError, GraphDocument, loads_document, main
 
@@ -185,6 +185,41 @@ def test_validate_json_payload(capsys):
     assert payload["valid"] is True
     assert payload["global"]["ok"] is True
     assert all(v["ok"] for v in payload["vertices"])
+
+
+def test_validate_measures_no_global_pair(monkeypatch, capsys):
+    # the global verdict comes from the vertex blocks' numbers: no SVD may see
+    # a matrix with more rows than a vertex (3) or more columns than [A | B]
+    shapes = []
+    original = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    assert main(["validate", _fixture_path("ring.json")]) == 0
+    assert "global: n=2 m=2 size=6 ok" in capsys.readouterr().out
+    assert shapes and all(rows <= 3 and cols <= 6 for rows, cols in shapes), shapes
+
+
+_TOL_COMMANDS = [
+    ["validate", _fixture_path("ring.json")],
+    ["sweep", _fixture_path("ring.json"), "--emin", "1", "--emax", "3", "--points", "2"],
+    ["compose", _fixture_path("tadpole.json"), "--cut", "loop",
+     "--energies", "39.47841760435743"],
+]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("argv", _TOL_COMMANDS, ids=lambda argv: argv[0])
+def test_tolerance_must_be_finite_and_positive(argv, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --tol: must be finite and > 0" in captured.err
 
 
 def test_malformed_input_is_exit_2(tmp_path, capsys):
@@ -397,7 +432,7 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert main(["selftest", "--seed", "1"]) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert f"passed {len(cli._SELFTEST_CHECKS)}/{len(cli._SELFTEST_CHECKS)}" in first
+    assert f"passed {len(selftest._SELFTEST_CHECKS)}/{len(selftest._SELFTEST_CHECKS)}" in first
     assert "FAIL" not in first
 
 
@@ -436,6 +471,9 @@ _COMMANDS = [
     ["compose", _fixture_path("ring.json"), "--cut", "i1,i2", "--energies", "0.7",
      "--json", "--tol", "1e-3"],
     ["validate", _fixture_path("tadpole.json")],
+    ["selftest", "--seed", "3", "--json"],
+    ["spectrum", _fixture_path("ring.json"), "--emin", "1", "--emax", "50",
+     "--eigenfunctions"],
 ]
 
 

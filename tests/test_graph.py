@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import boundary, cli, graph, numkernel, scattering
+from artifact import boundary, cli, graph, numkernel, scattering, selftest
 from artifact.boundary import (BoundaryCondition, InvalidBoundaryCondition,
                                InvalidParameters, kirchhoff_standard, random_bc)
 from artifact.graph import (InvalidGraph, MetricGraph, NotACut, UnknownEdge,
@@ -296,7 +296,7 @@ def _assembly_cases():
              for path in sorted(fixtures.iterdir()) if path.name.endswith(".json")]
     rng = np.random.default_rng(33)
     for _ in range(12):
-        g = cli._random_graph(rng)[0]
+        g = selftest._random_graph(rng)[0]
         cases.append(g)
         for _ in range(3):   # mixed vertex sizes, more vertices than sizes
             g = insert_trivial_vertex(g, g.internals[-1][0], 0.4)

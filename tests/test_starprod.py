@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from dataclasses import replace
 
-from artifact import cli, numkernel, scattering, starprod
+from artifact import numkernel, scattering, selftest, starprod
 from artifact import graph as graphmod
 from artifact.boundary import (DimensionMismatch, InvalidParameters,
                                kirchhoff_standard, random_unitary)
@@ -258,7 +258,7 @@ def test_factorize_many_equals_factorize_graph_bit_for_bit():
     cases = [(_ring(), ["i1", "i2"], [0.7, 2.9, 14.0]),
              (_tadpole(), ["loop"], [0.5, 4 * np.pi ** 2, 11.0])]
     for _ in range(4):
-        g, bridge_ids = cli._random_graph(rng)
+        g, bridge_ids = selftest._random_graph(rng)
         cases.append((g, bridge_ids, [float(e) for e in rng.uniform(0.3, 12.0, 4)]))
     for g, cut_ids, energies in cases:
         for e, out in zip(energies, factorize_many(g, cut_ids, energies)):
