@@ -93,14 +93,16 @@ class Admissibility:
     """The tolerance-free numbers admissibility of ``(A, B)`` is decided on.
 
     ``singular_values`` are those of ``[A | B]`` in descending order,
-    ``hermiticity_defect`` is ``||A B^dagger - B A^dagger||_2`` and
-    ``norm_a``/``norm_b`` are the spectral norms of ``A`` and ``B``.  All four
-    combine exactly over a block sum of pairs, even one with its rows and
-    columns permuted (see :func:`combine_admissibility`).
+    ``hermiticity_defect`` is ``||A B^dagger - B A^dagger||_2``,
+    ``reality_defect`` is ``||A B^T - B A^T||_2`` and ``norm_a``/``norm_b``
+    are the spectral norms of ``A`` and ``B``.  All five combine exactly over
+    a block sum of pairs, even one with its rows and columns permuted (see
+    :func:`combine_admissibility`).
     """
 
     singular_values: np.ndarray
     hermiticity_defect: float
+    reality_defect: float
     norm_a: float
     norm_b: float
 
@@ -121,9 +123,21 @@ class Admissibility:
         """Whether ``A B^dagger`` is Hermitian up to ``tol`` at the product scale."""
         return self.hermiticity_defect <= tol * max(1.0, self.norm_a * self.norm_b)
 
+    def real(self, tol: float = DEFAULT_TOL) -> bool:
+        """Whether ``A B^T`` is symmetric up to ``tol`` at the product scale: the
+        test :func:`equivalent` makes of the pair and its conjugate."""
+        return self.reality_defect <= tol * max(1.0, self.norm_a * self.norm_b)
+
     def admissible(self, tol: float = DEFAULT_TOL) -> bool:
         """Whether ``[A | B]`` has full rank and ``A B^dagger`` is Hermitian at ``tol``."""
         return self.rank(tol) == self.dim and self.hermitian_ok(tol)
+
+    def report(self, tol: float = DEFAULT_TOL) -> ValidationReport:
+        """The verdicts at ``tol``; reality is False for an inadmissible pair."""
+        rank = self.rank(tol)
+        rank_ok, hermitian_ok = rank == self.dim, self.hermitian_ok(tol)
+        return ValidationReport(rank_ok, hermitian_ok, rank, self.hermiticity_defect,
+                                rank_ok and hermitian_ok and self.real(tol))
 
     def require(self, tol: float = DEFAULT_TOL) -> None:
         """Raise :class:`InvalidBoundaryCondition` unless the pair is admissible."""
@@ -141,14 +155,15 @@ def measure_admissibility_stack(a: np.ndarray, b: np.ndarray) -> list[Admissibil
     decomposes every matrix of a stack on its own.
     """
     h = a @ b.conj().swapaxes(-1, -2)
+    r = a @ b.swapaxes(-1, -2)
     sigma = np.linalg.svd(np.concatenate([a, b], axis=-1), compute_uv=False)
-    # ||A B^dagger - B A^dagger||, ||A||, ||B||: largest singular values
-    # (initial=0.0 gives 0 for 0 x 0 blocks and changes nothing else)
-    defect, norm_a, norm_b = np.linalg.svd(
-        np.concatenate([h - h.conj().swapaxes(-1, -2), a, b]), compute_uv=False,
-    ).max(axis=-1, initial=0.0).reshape(3, -1).tolist()
+    # ||A B^dagger - B A^dagger||, ||A B^T - B A^T||, ||A||, ||B||: largest singular
+    # values (initial=0.0 gives 0 for 0 x 0 blocks and changes nothing else)
+    defect, reality, norm_a, norm_b = np.linalg.svd(np.concatenate(
+        [h - h.conj().swapaxes(-1, -2), r - r.swapaxes(-1, -2), a, b]), compute_uv=False,
+    ).max(axis=-1, initial=0.0).reshape(4, -1).tolist()
     return [Admissibility(*numbers)
-            for numbers in zip(sigma, defect, norm_a, norm_b)]
+            for numbers in zip(sigma, defect, reality, norm_a, norm_b)]
 
 
 def measure_admissibility(bc: BoundaryCondition) -> Admissibility:
@@ -163,36 +178,28 @@ def combine_admissibility(parts) -> Admissibility:
 
     For ``A = P (A_1 + ... + A_r) Q`` and ``B = P (B_1 + ... + B_r) Q`` with
     permutations ``P`` and ``Q``, the singular values of ``[A | B]`` are the
-    union of the blocks' ones, ``A B^dagger`` is a permuted block diagonal
-    (so its defect is the largest block defect), and ``||A||``, ``||B||`` are
-    the largest block norms.
+    union of the blocks' ones, ``A B^dagger`` and ``A B^T`` are permuted block
+    diagonals (``Q Q^dagger = Q Q^T = I``, so each defect is the largest block
+    defect), and ``||A||``, ``||B||`` are the largest block norms.
     """
     parts = list(parts)
     if not parts:
-        return Admissibility(np.zeros(0), 0.0, 0.0, 0.0)
+        return Admissibility(np.zeros(0), 0.0, 0.0, 0.0, 0.0)
     sigma = np.sort(np.concatenate([p.singular_values for p in parts]))[::-1]
     return Admissibility(
         singular_values=sigma,
         hermiticity_defect=max(p.hermiticity_defect for p in parts),
+        reality_defect=max(p.reality_defect for p in parts),
         norm_a=max(p.norm_a for p in parts),
         norm_b=max(p.norm_b for p in parts),
     )
 
 
 def validate(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Measure admissibility of ``bc``.
-
-    ``rank_ok`` asks whether the horizontal concatenation ``(A, B)`` has full
-    numeric rank N; ``hermitian_ok`` whether ``A @ B^dagger`` is Hermitian up to
-    ``tol`` relative to the scale of the product.  ``is_real_bc`` is only
-    evaluated for admissible conditions (it is reported False otherwise).
-    """
-    numbers = measure_admissibility(bc)
-    rank = numbers.rank(tol)
-    rank_ok = rank == bc.dim
-    hermitian_ok = numbers.hermitian_ok(tol)
-    real = rank_ok and hermitian_ok and is_real(bc, tol)
-    return ValidationReport(rank_ok, hermitian_ok, rank, numbers.hermiticity_defect, real)
+    """Admissibility of ``bc`` at ``tol`` (:meth:`Admissibility.report` of one
+    measurement): full numeric rank of ``[A | B]``, Hermitian ``A @ B^dagger``
+    and, for an admissible ``bc`` only, reality."""
+    return measure_admissibility(bc).report(tol)
 
 
 def require_valid(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> None:
@@ -286,8 +293,8 @@ def dual(bc: BoundaryCondition, n_external: int, m_internal: int) -> BoundaryCon
 
 
 def is_real(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``bc`` admits a real representative (equivalence with its conjugate)."""
-    return equivalent(bc, bc.conjugate(), tol)
+    """Whether ``bc`` is equivalent to its conjugate (:meth:`Admissibility.real`)."""
+    return measure_admissibility(bc).real(tol)
 
 
 def scale_invariant(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> bool:

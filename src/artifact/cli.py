@@ -47,10 +47,11 @@ def _output(text: str, path: str) -> None:
 
 def cmd_validate(args) -> int:
     g = load_document(args.file).to_graph()
-    reports = [boundary.validate(v.bc, args.tol) for v in g.vertices]
-    # assemble combines the global pair's numbers exactly from the vertex
-    # blocks, so the N x N pair itself is never measured
-    numbers = (graphmod.assemble(g, args.tol).admissibility_numbers()
+    parts, _ = graphmod.measure_vertices(g.vertices)
+    reports = [p.report(args.tol) for p in parts]
+    # the global pair is a permuted block sum of the vertex pairs, so its
+    # numbers combine exactly from theirs and the N x N pair is never built
+    numbers = (boundary.combine_admissibility(parts)
                if all(r.ok for r in reports) else None)
     valid = numbers is not None and numbers.admissible(args.tol)
 
@@ -106,8 +107,6 @@ def _sweep_energies(args) -> list:
 def cmd_sweep(args) -> int:
     g = load_document(args.file).to_graph()
     gbc = graphmod.assemble(g)
-    if gbc.n == 0:
-        raise scattering.NoExternalLines("graph has no external lines to sweep")
     energies = _sweep_energies(args)
     outcomes = scattering.solve_many(gbc, energies, args.tol)
 
@@ -145,9 +144,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     gbc = graphmod.assemble(load_document(args.file).to_graph())
-    if not (np.isfinite(args.emin) and np.isfinite(args.emax)) \
-            or not 0 < args.emin < args.emax:
-        raise DocumentError(f"need 0 < emin < emax, got ({args.emin}, {args.emax})")
     result = scattering.spectrum(gbc, args.emin, args.emax, grid=args.grid_points)
 
     # per eigenvalue, the (alpha_hat, beta_hat) pairs of a basis as complex lists

@@ -162,8 +162,7 @@ class GlobalBC:
     near ends, internal far ends (inward derivative convention built in).
     ``admissibility``, when given, must be the exact admissibility numbers of
     ``bc`` (as :func:`assemble` knows them from the vertex blocks); otherwise
-    they are measured on first use.  ``real``, when given, must be what
-    :meth:`is_real` would find; otherwise it is tested on first use.
+    they are measured on first use.
     """
 
     n: int
@@ -171,9 +170,8 @@ class GlobalBC:
     lengths: tuple
     bc: BoundaryCondition
     admissibility: InitVar[boundary.Admissibility | None] = None
-    real: InitVar[bool | None] = None
 
-    def __post_init__(self, admissibility, real):
+    def __post_init__(self, admissibility):
         lengths = tuple(float(a) for a in self.lengths)
         object.__setattr__(self, "lengths", lengths)
         if len(lengths) != self.m:
@@ -185,7 +183,6 @@ class GlobalBC:
                 f"global condition has size {self.bc.dim}, expected "
                 f"{self.n + 2 * self.m}")
         object.__setattr__(self, "_admissibility", admissibility)
-        object.__setattr__(self, "_real", real)
 
     def admissibility_numbers(self) -> boundary.Admissibility:
         """The admissibility numbers of ``bc``.
@@ -199,12 +196,9 @@ class GlobalBC:
         return self._admissibility
 
     def is_real(self) -> bool:
-        """Whether ``bc`` admits a real representative
-        (:func:`boundary.is_real` at ``boundary.DEFAULT_TOL``), tested at most
-        once per instance, and not at all when given at construction."""
-        if self._real is None:
-            object.__setattr__(self, "_real", boundary.is_real(self.bc))
-        return self._real
+        """:func:`boundary.is_real` at ``boundary.DEFAULT_TOL``, read from
+        :meth:`admissibility_numbers`."""
+        return self.admissibility_numbers().real(boundary.DEFAULT_TOL)
 
     def require_admissible(self) -> None:
         """Raise :class:`~artifact.boundary.InvalidBoundaryCondition` unless
@@ -227,15 +221,33 @@ class CutMap:
     right_externals: tuple
 
 
+def measure_vertices(vertices) -> tuple[list, list]:
+    """``(numbers, stacks)``: the admissibility numbers of every vertex, in
+    order, from one :func:`boundary.measure_admissibility_stack` per vertex
+    size, and one ``(members, a_blocks, b_blocks)`` stack of vertex indices
+    and pairs per size."""
+    by_size: dict[int, list[int]] = {}
+    for vi, v in enumerate(vertices):
+        by_size.setdefault(v.bc.dim, []).append(vi)
+    numbers, stacks = [None] * len(vertices), []
+    for members in by_size.values():
+        a_blocks = np.stack([vertices[vi].bc.A for vi in members])
+        b_blocks = np.stack([vertices[vi].bc.B for vi in members])
+        for vi, record in zip(members,
+                              boundary.measure_admissibility_stack(a_blocks, b_blocks)):
+            numbers[vi] = record
+        stacks.append((members, a_blocks, b_blocks))
+    return numbers, stacks
+
+
 def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
     """Merge the local vertex conditions into the global pair ``(A, B)``.
 
-    The vertices of each size are measured together
-    (:func:`boundary.measure_admissibility_stack`) and their blocks written
-    into ``(A, B)`` by one indexed assignment, so the numpy calls do not grow
-    with the vertex count.  Each vertex is judged at ``tol``; the global
-    pair's admissibility numbers are combined from the vertex ones, so
-    :meth:`GlobalBC.require_admissible` needs no work on the N x N pair.
+    The blocks of each size, measured by :func:`measure_vertices`, are
+    written into ``(A, B)`` by one indexed assignment, so the numpy calls do
+    not grow with the vertex count.  Each vertex is judged at ``tol``; the
+    global pair's numbers are combined from the vertex ones, so no check of
+    the N x N pair decomposes it.
 
     Raises:
         InvalidBoundaryCondition: for the first inadmissible vertex, in the
@@ -255,17 +267,9 @@ def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
     vertices = g.vertices
     first_row = np.cumsum([0] + [v.bc.dim for v in vertices])
     assert first_row[-1] == size
-    by_size: dict[int, list[int]] = {}
-    for vi, v in enumerate(vertices):
-        by_size.setdefault(v.bc.dim, []).append(vi)
-    parts = [None] * len(vertices)
-    for d, members in by_size.items():
-        a_blocks = np.stack([vertices[vi].bc.A for vi in members])
-        b_blocks = np.stack([vertices[vi].bc.B for vi in members])
-        for vi, numbers in zip(members,
-                               boundary.measure_admissibility_stack(a_blocks, b_blocks)):
-            parts[vi] = numbers
-        rows = (first_row[members][:, None] + np.arange(d))[:, :, None]
+    parts, stacks = measure_vertices(vertices)
+    for members, a_blocks, b_blocks in stacks:
+        rows = (first_row[members][:, None] + np.arange(a_blocks.shape[-1]))[:, :, None]
         cols = np.array([[col[e] for e in vertices[vi].endpoints]
                          for vi in members])[:, None, :]
         a[rows, cols] = a_blocks

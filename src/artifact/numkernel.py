@@ -1,9 +1,9 @@
 """Dense complex linear algebra primitives with explicit tolerance semantics.
 
-All higher layers funnel their matrix work through this module so that
-singularity handling, rank decisions and defect measurements follow one set of
-rules.  Matrices are numpy ``complex128`` arrays in row-major layout; every
-entry point coerces and checks its inputs via :func:`as_complex_matrix`.
+Guarded solves, the pseudoinverse, and rank and defect measurements of single
+matrices and stacks.  The batched paths of ``boundary``, ``scattering`` and
+``starprod`` call ``numpy.linalg`` themselves.  Every entry point here coerces
+and checks its inputs via :func:`as_complex_matrix` (``complex128``).
 """
 from __future__ import annotations
 

@@ -184,6 +184,33 @@ def test_reality():
     assert not is_real(delta_coupling(1.0, mu=0.7))
 
 
+def test_reality_number_agrees_with_the_equivalence_reference():
+    rng = np.random.default_rng(71)
+    pairs = [dirichlet(3), neumann(2), robin(0.3), kirchhoff_standard(5),
+             delta_coupling(1.7), delta_coupling(1.0, mu=0.7), delta_prime(-0.8),
+             sl2_coupling(2.0, 1.0, 1.0, 1.0), sl2_coupling(2.0, 1.0, 1.0, 1.0, mu=0.2),
+             cyclic_coupling(0.4, 5)]
+    pairs += [_cyclic_shift_pair(c) for c in
+              ([1.5j, 1.5j, 1.5j], [1.5, 1.5, 1.5], [1.0j, 2.0j, 1.0j], [0.5j] * 5)]
+    pairs += [random_bc(n, rng) for n in (1, 2, 3, 4, 6) for _ in range(8)]
+    # real pairs (A, A S) with S symmetric, so A B^T = A S A^T is symmetric,
+    # behind a complex row operation G: G (A B^T - B A^T) G^T = 0 keeps them real
+    for n in (1, 2, 3, 5):
+        for _ in range(8):
+            a = rng.normal(size=(n, n))
+            x = rng.normal(size=(n, n))
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            pairs.append(BoundaryCondition(g @ a, g @ a @ (x + x.T)))
+    verdicts = []
+    for bc in pairs:
+        numbers = boundary.measure_admissibility(bc)
+        reference = equivalent(bc, bc.conjugate())
+        assert numbers.real() == is_real(bc) == reference, bc
+        assert validate(bc).is_real_bc == (reference and numbers.admissible())
+        verdicts.append(reference)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_scale_invariance_means_energy_independent_smatrix():
     invariant = [dirichlet(2), neumann(2), kirchhoff_standard(3), kirchhoff_standard(5)]
     varying = [robin(np.pi / 4), delta_coupling(1.0), delta_prime(0.5)]

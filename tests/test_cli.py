@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import scattering, selftest
+from artifact import boundary, scattering, selftest
 from artifact import graph as graphmod
 from artifact.cli import DocumentError, GraphDocument, loads_document, main
 
@@ -201,6 +201,61 @@ def test_validate_measures_no_global_pair(monkeypatch, capsys):
     assert main(["validate", _fixture_path("ring.json")]) == 0
     assert "global: n=2 m=2 size=6 ok" in capsys.readouterr().out
     assert shapes and all(rows <= 3 and cols <= 6 for rows, cols in shapes), shapes
+
+
+def _chain_doc(junctions, rng):
+    """Two leads through ``junctions`` delta junctions, then a third lead
+    joined at a 3-endpoint Kirchhoff vertex."""
+    edges = [f"e{j}" for j in range(junctions)]
+    ends = ["ext:l"] + [f"int:{e}:{side}" for e in edges for side in ("0", "a")]
+    vertices = [{"endpoints": ends[2 * j:2 * j + 2],
+                 "bc": {"kind": "delta", "strength": float(rng.uniform(-3.0, 3.0))}}
+                for j in range(junctions)]
+    vertices.append({"endpoints": [ends[-1], "ext:r", "ext:x"],
+                     "bc": {"kind": "kirchhoff"}})
+    return {"externals": ["l", "r", "x"],
+            "internals": [{"id": e, "length": float(rng.uniform(0.2, 2.0))}
+                          for e in edges],
+            "vertices": vertices}
+
+
+def test_validate_measures_each_vertex_size_once(monkeypatch, tmp_path, capsys):
+    path = _write(tmp_path, _chain_doc(200, np.random.default_rng(8)))
+    calls = dict.fromkeys(("svd", "validate", "is_real", "equivalent", "assemble"), 0)
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(np.linalg, "svd")
+    for name in ("validate", "is_real", "equivalent"):
+        counting(boundary, name)
+    counting(graphmod, "assemble")
+    for extra in ([], ["--json"]):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["validate", path, *extra]) == 0
+        # two vertex sizes (2 and 3), at most two stacked SVD calls each
+        assert 0 < calls["svd"] <= 4
+        assert [calls[name] for name in ("validate", "is_real", "equivalent",
+                                         "assemble")] == [0, 0, 0, 0]
+    out = capsys.readouterr().out
+    assert "global: n=3 m=200 size=403 ok" in out
+    assert json.loads(out[out.index("{"):])["valid"] is True
+
+
+def test_window_and_lead_errors_come_from_the_library(capsys):
+    assert main(["spectrum", _fixture_path("ring.json"),
+                 "--emin", "2", "--emax", "1"]) == 2
+    assert capsys.readouterr().err == "error: need 0 < e_min < e_max, got (2.0, 1.0)\n"
+    assert main(["sweep", _fixture_path("closed_ring.json"),
+                 "--emin", "1", "--emax", "2", "--points", "3"]) == 1
+    assert capsys.readouterr().err == ("error: graph has no external lines to "
+                                       "scatter on\n")
 
 
 _TOL_COMMANDS = [

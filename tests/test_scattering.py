@@ -431,15 +431,21 @@ def test_transforms_inherit_admissibility(monkeypatch):
         got, fresh = gbc.admissibility_numbers(), measure(gbc.bc)
         assert_allclose(got.singular_values, fresh.singular_values, rtol=1e-13)
         assert abs(got.hermiticity_defect - fresh.hermiticity_defect) <= 1e-13
+        assert abs(got.reality_defect - fresh.reality_defect) <= 1e-13
         assert_allclose([got.norm_a, got.norm_b], [fresh.norm_a, fresh.norm_b], rtol=1e-13)
 
 
 def test_is_real_is_tested_once_per_global_bc(monkeypatch):
-    graphs = [_ring(), _two_vertex_graph(12)]
+    # a real vertex next to one with a magnetic phase: the graph is not real
+    mixed = MetricGraph(("l1", "l2"), (("m", 0.8),),
+                        (Vertex((ext_ref("l1"), int_ref("m", "0")),
+                                delta_coupling(1.0, mu=0.7)),
+                         Vertex((int_ref("m", "a"), ext_ref("l2")), delta_coupling(0.5))))
+    graphs = [_ring(), _two_vertex_graph(12), mixed]
     tested, solved = [], []
-    equivalent, solve = boundary.equivalent, scattering.solve_scattering
-    monkeypatch.setattr(boundary, "equivalent",
-                        lambda *a, **k: tested.append(a) or equivalent(*a, **k))
+    measure, solve = boundary.measure_admissibility, scattering.solve_scattering
+    monkeypatch.setattr(boundary, "measure_admissibility",
+                        lambda bc: tested.append(bc) or measure(bc))
     monkeypatch.setattr(scattering, "solve_scattering",
                         lambda gbc, e: solved.append(gbc) or solve(gbc, e))
     for gbc in map(assemble, graphs):
@@ -449,13 +455,13 @@ def test_is_real_is_tested_once_per_global_bc(monkeypatch):
         assert len(tested) - before <= 1
     monkeypatch.undo()
     # the conjugate pair inherits the verdict of its source
-    assert len(solved) == 20
+    assert len(solved) == 30
     for gbc in solved:
         assert gbc.is_real() == boundary.is_real(gbc.bc)
-    assert [assemble(g).is_real() for g in graphs] == [True, False]
+    assert [assemble(g).is_real() for g in graphs] == [True, False, False]
 
 
-def test_covariance_inherits_admissibility_for_a_unitary_u(monkeypatch):
+def test_covariance_measures_the_rotated_pair(monkeypatch):
     rng = np.random.default_rng(13)
     gbcs = [assemble(_ring()), assemble(_two_vertex_graph(13))]
     measured, solved = [], []
@@ -467,15 +473,22 @@ def test_covariance_inherits_admissibility_for_a_unitary_u(monkeypatch):
     for gbc in gbcs:
         for e in (0.7, 2.9):
             assert check_covariance(gbc, random_unitary(gbc.n, rng), e) < 1e-10
-    assert measured == []
+    # one measurement per call: the rotated pair's own
+    assert len(measured) == 4
     assert len(solved) == 8
     for gbc in solved:
         got, fresh = gbc.admissibility_numbers(), measure(gbc.bc)
         assert_allclose(got.singular_values, fresh.singular_values, rtol=1e-13)
         assert abs(got.hermiticity_defect - fresh.hermiticity_defect) <= 1e-13
         assert_allclose([got.norm_a, got.norm_b], [fresh.norm_a, fresh.norm_b], rtol=1e-13)
-    # a channel matrix off unitarity by more than 1e-12: the pair is measured
+    # a channel matrix off unitarity by more than 1e-12
     u = (1.0 + 1e-11) * random_unitary(gbcs[1].n, rng)
     assert numkernel.unitarity_defect(u) > 1e-12
     assert check_covariance(gbcs[1], u, 1.3) < 1e-9
-    assert len(measured) == 1
+    assert len(measured) == 5
+    # a complex channel phase makes the real ring's rotated pair non-real,
+    # so inheriting the source's numbers would give it the wrong verdict
+    solved.clear()
+    assert check_covariance(gbcs[0], np.diag([1.0, np.exp(0.3j)]), 2.9) < 1e-10
+    source, rotated = gbcs[0], solved[-1]
+    assert source.is_real() and not rotated.is_real()
