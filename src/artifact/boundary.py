@@ -448,7 +448,9 @@ def von_neumann_parameter(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> np
     # point (the named special cases then come out exact, not just close).
     m = np.sqrt(2.0) * bc.A - (1.0 - 1.0j) * bc.B
     n = np.sqrt(2.0) * bc.A - (1.0 + 1.0j) * bc.B
-    s_one = -numkernel.solve_linear(m, n)
+    # m is sqrt(2) (A' + iB') for the shifted pair, which is admissible with
+    # bc, so m is invertible
+    s_one = -np.linalg.solve(m, n)
     return s_one.conj().T
 
 

@@ -2,8 +2,10 @@
 
 Guarded solves, the pseudoinverse, and rank and defect measurements of single
 matrices and stacks.  The batched paths of ``boundary``, ``scattering`` and
-``starprod`` call ``numpy.linalg`` themselves.  Every entry point here coerces
-and checks its inputs via :func:`as_complex_matrix` (``complex128``).
+``starprod`` call ``numpy.linalg`` themselves, and no library path calls
+:func:`solve_linear`: the vertex S-matrices solve ``A + ikB``, which is
+invertible for every admissible pair, by plain LU.  Every entry point here
+coerces and checks its inputs via :func:`as_complex_matrix` (``complex128``).
 """
 from __future__ import annotations
 
@@ -136,10 +138,7 @@ def unitarity_defects(stack) -> np.ndarray:
         raise ValueError(f"unitarity defects need a stack of square matrices, "
                          f"got shape {u.shape}")
     gram = u.conj().transpose(0, 2, 1) @ u
-    # np.linalg.norm takes the same SVD as spectral_norms; it stays here so
-    # that counting np.linalg.svd calls still counts decompositions of Z(E)
-    # alone, not this defect of every solved S block
-    return np.linalg.norm(gram - np.eye(u.shape[1]), 2, axis=(1, 2))
+    return spectral_norms(gram - np.eye(u.shape[1]))
 
 
 def hermiticity_defect(m) -> float:

@@ -19,9 +19,9 @@ solution with ``at_eigenvalue`` set.
 
 Every energy goes through one path: :func:`z_stack` builds ``Z`` for a stack
 of wavenumbers, one values-only SVD per energy decides regular or singular,
-and regular energies are solved by LU.  :func:`solve_many` (behind
-:func:`sweep` and ``artifact sweep``) and the :func:`spectrum` scan run that
-path on chunks of the energy axis; :func:`solve_scattering` runs it on one.
+and regular energies are solved by LU.  One kernel decomposes the energy axis
+in batches: :func:`solve_many` (behind :func:`sweep`, :func:`solve_scattering`
+and ``artifact sweep``) and every stage of :func:`spectrum` read from it.
 """
 from __future__ import annotations
 
@@ -174,11 +174,16 @@ def build_xyz(gbc: GlobalBC, energy: float):
     return x, y, z_stack(gbc, [k])[0]
 
 
-def _chunks(gbc: GlobalBC, count: int) -> list:
-    """Slices cutting ``range(count)`` into batches of CHUNK_ENTRIES entries of Z."""
+def _decompositions(gbc: GlobalBC, ks):
+    """``(part, z, sigma)`` for each batch of CHUNK_ENTRIES entries of ``Z``: ``z``
+    is :func:`z_stack` at the array slice ``ks[part]``, ``sigma`` its values-only
+    SVD.  Every values-only decomposition of ``Z`` on the energy axis is here."""
     size = gbc.n + 2 * gbc.m
     step = max(1, CHUNK_ENTRIES // max(1, size * size))
-    return [slice(i, i + step) for i in range(0, count, step)]
+    for start in range(0, len(ks), step):
+        part = slice(start, start + step)
+        z = z_stack(gbc, ks[part])
+        yield part, z, np.linalg.svd(z, compute_uv=False)
 
 
 def _ratio(top, bottom):
@@ -196,7 +201,8 @@ def smatrix_single_vertex(bc: BoundaryCondition, energy: float,
     energy = _check_energy(energy)
     boundary.require_valid(bc, tol)
     k = np.sqrt(energy)
-    return -numkernel.solve_linear(bc.A + 1j * k * bc.B, bc.A - 1j * k * bc.B)
+    # A + ikB is invertible for every admissible pair and real k != 0
+    return -np.linalg.solve(bc.A + 1j * k * bc.B, bc.A - 1j * k * bc.B)
 
 
 def _minimum_norm_solve(z: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
@@ -209,16 +215,14 @@ def _minimum_norm_solve(z: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarra
     return sol
 
 
-def _solve_batch(gbc: GlobalBC, energies: np.ndarray, tol: float) -> list:
-    """Results at checked energies of an admissible ``gbc`` with external lines;
-    an :class:`InconsistentSystem` instance stands for a refused minimum-norm
-    solve."""
+def _solve_batch(gbc: GlobalBC, energies: np.ndarray, z: np.ndarray,
+                 sigma: np.ndarray, tol: float) -> list:
+    """Results at checked energies of an admissible ``gbc`` with external lines,
+    from one batch of :func:`_decompositions`; an :class:`InconsistentSystem`
+    instance stands for a refused minimum-norm solve."""
     n, m = gbc.n, gbc.m
-    ks = np.sqrt(energies)
-    z = z_stack(gbc, ks)
-    ik = 1j * ks[:, None, None]
+    ik = 1j * np.sqrt(energies)[:, None, None]
     rhs = -(gbc.bc.A[:, :n] - ik * gbc.bc.B[:, :n])
-    sigma = np.linalg.svd(z, compute_uv=False)
     top, bottom = sigma[:, 0], sigma[:, -1]
     singular = (top == 0.0) | (bottom < tol * top)
     sol = np.zeros_like(rhs)
@@ -281,8 +285,9 @@ def solve_many(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL) -> list:
         except NonpositiveEnergy as exc:
             outcomes[i] = exc
     checked = np.array(checked, dtype=float)
-    for part in _chunks(gbc, len(checked)):
-        for i, out in zip(index[part], _solve_batch(gbc, checked[part], tol)):
+    for part, z, sigma in _decompositions(gbc, np.sqrt(checked)):
+        batch = _solve_batch(gbc, checked[part], z, sigma, tol)
+        for i, out in zip(index[part], batch):
             outcomes[i] = out
     return outcomes
 
@@ -313,30 +318,29 @@ def _extreme_sigmas(gbc: GlobalBC, ks):
     """sigma_max and sigma_min of Z(k^2) for every k in ``ks``, in batches."""
     ks = np.asarray(ks, dtype=float)
     top, bottom = np.empty(len(ks)), np.empty(len(ks))
-    for part in _chunks(gbc, len(ks)):
-        sigma = np.linalg.svd(z_stack(gbc, ks[part]), compute_uv=False)
+    for part, _, sigma in _decompositions(gbc, ks):
         top[part], bottom[part] = sigma[:, 0], sigma[:, -1]
     return top, bottom
 
 
-def _singularity_ratio(gbc: GlobalBC, k: float) -> float:
-    return float(_ratio(*_extreme_sigmas(gbc, [k]))[0])
-
-
-def _golden_minimize(f, lo: float, hi: float, iterations: int = GOLDEN_ITERATIONS):
+def _golden_minimize(f, lo, hi, iterations: int = GOLDEN_ITERATIONS):
+    """Arrays ``(x_min, f_min)`` of golden-section searches on ``[lo[i], hi[i]]``
+    in lockstep: one call of the vectorized ``f`` per step, and each bracket
+    goes through the float operations of a one-bracket search."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
+    fc, fd = np.split(f(np.concatenate([c, d])), 2)
     for _ in range(iterations):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+        left = fc <= fd
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        probe = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        fp = f(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    left = fc <= fd
+    return np.where(left, c, d), np.where(left, fc, fd)
 
 
 def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
@@ -344,11 +348,12 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
     """Locate the embedded eigenvalues in ``(e_min, e_max]``.
 
     Scans ``sigma_min(Z)/sigma_max(Z)`` on a grid uniform in ``k = sqrt(E)``,
-    refines each local minimum by golden-section search (fixed iteration
-    count), merges candidates within 1e-6 relative energy, and accepts a
-    candidate when the refined ``sigma_min < tol * sigma_max``.  A candidate
-    within 1e-6 relative energy of ``e_min`` is the excluded left edge and is
-    dropped.
+    takes each local minimum below ``max(1e-2, 10 tol)`` as a candidate,
+    refines all candidates in lockstep by golden-section search (fixed
+    iteration count, one batched decomposition per step), merges candidates
+    within 1e-6 relative energy, and accepts a candidate when the refined
+    ``sigma_min < tol * sigma_max``.  A candidate within 1e-6 relative energy
+    of ``e_min`` is the excluded left edge and is dropped.
 
     Args:
         grid: number of scan points; defaults to about 2000 per unit of
@@ -373,20 +378,19 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
     ks = np.linspace(k_lo, k_hi, grid)
     ratios = _ratio(*_extreme_sigmas(gbc, ks))
 
-    prefilter = max(1e-2, 10.0 * tol)
+    padded = np.concatenate([[np.inf], ratios, [np.inf]])
+    minima = np.flatnonzero((ratios <= padded[:-2]) & (ratios <= padded[2:])
+                            & (ratios < max(1e-2, 10.0 * tol)))
     candidates = []
-    for i in range(grid):
-        left = ratios[i - 1] if i > 0 else np.inf
-        right = ratios[i + 1] if i + 1 < grid else np.inf
-        if ratios[i] <= left and ratios[i] <= right and ratios[i] < prefilter:
-            lo = ks[max(i - 1, 0)]
-            hi = ks[min(i + 1, grid - 1)]
-            k_star, r_star = _golden_minimize(
-                lambda k: _singularity_ratio(gbc, k), lo, hi)
-            e_star = float(k_star ** 2)
+    if minima.size:
+        k_star, r_star = _golden_minimize(
+            lambda k: _ratio(*_extreme_sigmas(gbc, k)),
+            ks[np.maximum(minima - 1, 0)], ks[np.minimum(minima + 1, grid - 1)])
+        for k, r in zip(k_star, r_star.tolist()):
+            e_star = float(k ** 2)
             # the window excludes its left edge, where the scan starts
-            if r_star < tol and e_star - e_min > MERGE_RELATIVE * max(1.0, e_star):
-                candidates.append((e_star, float(r_star)))
+            if r < tol and e_star - e_min > MERGE_RELATIVE * max(1.0, e_star):
+                candidates.append((e_star, r))
 
     candidates.sort()
     merged: list[tuple[float, float]] = []

@@ -335,12 +335,11 @@ def factorize_many(g: MetricGraph, edge_ids, energies,
 
     Requested tadpole edges are first split with a trivial vertex (cutting a
     tadpole directly can never split the graph); tadpoles remaining inside
-    either side are likewise normalized before the side is solved.  The cut
-    and the three assembled graphs are built once, and each is solved over
-    the whole grid by :func:`scattering.solve_many`.  The side S-matrices are
-    then composed as one stack by :func:`star_many`, re-ordered to the
-    external-channel order of ``g``, and compared with the direct ones by one
-    stacked spectral norm.
+    either side are solved as they are.  The cut and the three assembled
+    graphs are built once, and each is solved over the whole grid by
+    :func:`scattering.solve_many`.  The side S-matrices are then composed as
+    one stack by :func:`star_many`, re-ordered to the external-channel order
+    of ``g``, and compared with the direct ones by one stacked spectral norm.
 
     Returns:
         in grid order, ``(s_composed, s_direct, defect)`` with ``defect`` the
@@ -369,7 +368,7 @@ def factorize_many(g: MetricGraph, edge_ids, energies,
     grid = list(energies)
     res_left, res_right, res_direct = (
         scattering.solve_many(graphmod.assemble(graph), grid)
-        for graph in (_normalize_tadpoles(left), _normalize_tadpoles(right), g))
+        for graph in (left, right, g))
 
     # every energy before the first side error composes; that error is
     # raised once the energies before it have raised theirs
@@ -417,12 +416,3 @@ def factorize_graph(g: MetricGraph, edge_ids, energy: float,
         raise outcome
     return outcome
 
-
-def _normalize_tadpoles(g: MetricGraph) -> MetricGraph:
-    while True:
-        for i, _ in g.internals:
-            if g.is_tadpole(i):
-                g = graphmod.insert_trivial_vertex(g, i)
-                break
-        else:
-            return g

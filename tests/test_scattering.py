@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import boundary, numkernel, scattering
+from artifact import boundary, numkernel, scattering, selftest
 from artifact.boundary import (BoundaryCondition, InvalidBoundaryCondition,
                                delta_coupling, dirichlet, kirchhoff_standard,
                                neumann, random_bc, random_unitary)
@@ -83,6 +83,18 @@ def test_delta_junction_energy_limits():
     assert_allclose(high, [[0, 1], [1, 0]], atol=1e-5)
     low = smatrix_single_vertex(delta_coupling(c), 1e-12)
     assert_allclose(low, -np.eye(2), atol=1e-5)
+
+
+
+def test_single_vertex_smatrix_at_extreme_energies():
+    kirchhoff = 2.0 / 3.0 * np.ones((3, 3)) - np.eye(3)
+    for e in (1e-30, 1e-24, 1e20, 1e30):
+        s = smatrix_single_vertex(kirchhoff_standard(3), e)
+        assert np.abs(s - kirchhoff).max() <= 1e-15
+        for bc, params in ((delta_coupling(1.0), (1.0, 0.0, 1.0, 1.0)),
+                           (boundary.delta_prime(1.0), (1.0, 1.0, 0.0, 1.0))):
+            expected = selftest._sl2_closed_form(*params, 0.0, e)
+            assert np.abs(smatrix_single_vertex(bc, e) - expected).max() <= 1e-15
 
 
 def test_build_xyz_determinant_product_formula():
@@ -374,8 +386,83 @@ def test_batched_scan_ratios_equal_pointwise_ratios():
     gbc = assemble(_ring())
     ks = np.linspace(np.sqrt(0.5), 10.0, 2500)   # two batches at N = 6
     batched = scattering._ratio(*scattering._extreme_sigmas(gbc, ks))
-    pointwise = np.array([scattering._singularity_ratio(gbc, k) for k in ks])
+    pointwise = np.array([scattering._ratio(*scattering._extreme_sigmas(gbc, [k]))[0]
+                          for k in ks])
     assert np.array_equal(batched, pointwise)
+
+
+
+def _dirichlet_pair(delta=1e-4):
+    """Two Dirichlet intervals of lengths 1 and 1 + delta, no external lines."""
+    vertices = tuple(Vertex((int_ref(f"i{j}", end),), dirichlet(1))
+                     for j in range(2) for end in ("0", "a"))
+    return MetricGraph((), (("i0", 1.0), ("i1", 1.0 + delta)), vertices)
+
+
+_SPECTRUM_CASES = ((_ring, (0.5, 400.0)), (_dirichlet_pair, (1.0, 100.0)))
+
+
+def test_spectrum_decompositions_do_not_grow_with_the_candidates(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    for build, window in _SPECTRUM_CASES:
+        gbc = assemble(build())
+        calls.clear()
+        result = spectrum(gbc, *window)
+        assert len(result.eigenvalues) >= 3
+        step = max(1, scattering.CHUNK_ENTRIES // (gbc.n + 2 * gbc.m) ** 2)
+        scan_batches = -(-result.grid_points // step)
+        # the scan, one stacked call per golden step, the first probes and
+        # the residuals, however many candidates are refined
+        assert len(calls) <= scan_batches + scattering.GOLDEN_ITERATIONS + 3
+
+
+def _scalar_golden_minimize(f, lo, hi, iterations=scattering.GOLDEN_ITERATIONS):
+    """One-bracket golden-section search: the reference of the lockstep one."""
+    golden = scattering._GOLDEN
+    c = hi - golden * (hi - lo)
+    d = lo + golden * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(iterations):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - golden * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + golden * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def test_lockstep_refinement_equals_the_scalar_search():
+    for build, (e_min, e_max) in _SPECTRUM_CASES:
+        gbc = assemble(build())
+        result = spectrum(gbc, e_min, e_max)
+        grid = result.grid_points
+        ks = np.linspace(np.sqrt(e_min), np.sqrt(e_max), grid)
+        ratios = scattering._ratio(*scattering._extreme_sigmas(gbc, ks))
+        brackets = []
+        for i in range(grid):
+            left = ratios[i - 1] if i > 0 else np.inf
+            right = ratios[i + 1] if i + 1 < grid else np.inf
+            if ratios[i] <= left and ratios[i] <= right and ratios[i] < 1e-2:
+                brackets.append((ks[max(i - 1, 0)], ks[min(i + 1, grid - 1)]))
+        assert len(brackets) >= 3
+
+        def ratio(k):
+            return float(scattering._ratio(*scattering._extreme_sigmas(gbc, [k]))[0])
+
+        expected = np.array([_scalar_golden_minimize(ratio, lo, hi)
+                             for lo, hi in brackets])
+        k_star, r_star = scattering._golden_minimize(
+            lambda k: scattering._ratio(*scattering._extreme_sigmas(gbc, k)),
+            *np.array(brackets).T)
+        assert np.array_equal(k_star, expected[:, 0])
+        assert np.array_equal(r_star, expected[:, 1])
+        assert set(result.eigenvalues) <= {float(k ** 2) for k in expected[:, 0]}
 
 
 def test_spectrum_window_excludes_left_edge_only():
@@ -388,7 +475,8 @@ def test_spectrum_window_excludes_left_edge_only():
 
 def test_solve_scattering_validates_never_and_decomposes_once(monkeypatch):
     gbc = assemble(_ring())
-    counts = dict.fromkeys(("validate", "measure_admissibility", "svd", "solve"), 0)
+    counts = dict.fromkeys(("validate", "measure_admissibility", "solve"), 0)
+    svd_shapes = []
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -401,10 +489,15 @@ def test_solve_scattering_validates_never_and_decomposes_once(monkeypatch):
 
     counting(boundary, "validate")
     counting(boundary, "measure_admissibility")
-    counting(np.linalg, "svd")
     counting(np.linalg, "solve")
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: svd_shapes.append(np.shape(a))
+                        or svd(a, *args, **kw))
     res = solve_scattering(gbc, 2.0)
-    assert counts == {"validate": 0, "measure_admissibility": 0, "svd": 1, "solve": 1}
+    assert counts == {"validate": 0, "measure_admissibility": 0, "solve": 1}
+    # one decomposition of the 6 x 6 Z, one of the 2 x 2 S block's defect
+    assert svd_shapes == [(1, 6, 6), (1, 2, 2)]
     assert res.solve_path == scattering.REGULAR and 0.0 < res.sigma_ratio < 1.0
 
 

@@ -3,11 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dataclasses import replace
+from importlib import resources
 
 from artifact import numkernel, scattering, selftest, starprod
 from artifact import graph as graphmod
 from artifact.boundary import (DimensionMismatch, InvalidParameters,
-                               kirchhoff_standard, random_unitary)
+                               kirchhoff_standard, random_bc, random_unitary)
+from artifact.document import load_document
 from artifact.graph import MetricGraph, Vertex, assemble, cut, ext_ref, int_ref
 from artifact.starprod import (ConditionAViolated, StarOperands,
                                associativity_check, compose_smatrices,
@@ -275,6 +277,38 @@ def test_factorize_many_equals_factorize_graph_bit_for_bit():
     outcomes = factorize_many(_tadpole(), ["loop"], [0.5, 4 * np.pi ** 2])
     assert isinstance(outcomes[0], tuple)
     assert isinstance(outcomes[1], ConditionAViolated) and outcomes[1].margin < 1e-8
+
+
+
+def _outcomes_agree(got, expected, tol):
+    for out, ref in zip(got, expected, strict=True):
+        if isinstance(ref, ConditionAViolated):
+            assert isinstance(out, ConditionAViolated)
+            continue
+        for a, b in zip(out[:2], ref[:2]):
+            assert np.abs(a - b).max() <= tol
+
+
+def test_tadpoles_compose_as_through_a_trivial_vertex():
+    energies = [0.5, 2.0, 4 * np.pi ** 2, 11.0]
+    # tadpole.json: the direct solve keeps the loop, the hand route splits it
+    g = load_document(str(resources.files("artifact") / "fixtures" / "tadpole.json"))
+    g = g.to_graph()
+    hand = graphmod.insert_trivial_vertex(g, "loop")
+    _outcomes_agree(factorize_many(g, ["loop"], energies),
+                    factorize_many(hand, ["loop.1", "loop.2"], energies), 1e-13)
+    # a tadpole on each side of the cut: the sides are solved with their loops
+    rng = np.random.default_rng(31)
+    v0 = Vertex((ext_ref("l1"), int_ref("b", "0"), int_ref("t0", "0"),
+                 int_ref("t0", "a")), random_bc(4, rng))
+    v1 = Vertex((int_ref("b", "a"), ext_ref("l2"), int_ref("t1", "0"),
+                 int_ref("t1", "a")), random_bc(4, rng))
+    g = MetricGraph(("l1", "l2"), (("b", 0.8), ("t0", 1.3), ("t1", 0.6)), (v0, v1))
+    hand = graphmod.insert_trivial_vertex(graphmod.insert_trivial_vertex(g, "t0"), "t1")
+    energies = [float(e) for e in rng.uniform(0.3, 12.0, 6)]
+    outcomes = factorize_many(g, ["b"], energies)
+    assert all(isinstance(out, tuple) for out in outcomes)
+    _outcomes_agree(outcomes, factorize_many(hand, ["b"], energies), 1e-13)
 
 
 def test_compose_rejects_mismatched_inputs():
