@@ -96,8 +96,10 @@ def _sweep_energies(args) -> list:
     if not (np.isfinite(args.emin) and np.isfinite(args.emax)) \
             or not 0 < args.emin <= args.emax:
         raise DocumentError(f"need 0 < emin <= emax, got ({args.emin}, {args.emax})")
-    if args.points < 1:
-        raise DocumentError(f"points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= scattering.MAX_GRID_POINTS:
+        raise DocumentError(
+            f"points must be at least 1 and at most {scattering.MAX_GRID_POINTS}, "
+            f"got {args.points}")
     if args.uniform_e:
         return [float(e) for e in np.linspace(args.emin, args.emax, args.points)]
     ks = np.linspace(np.sqrt(args.emin), np.sqrt(args.emax), args.points)

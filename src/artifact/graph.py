@@ -162,7 +162,9 @@ class GlobalBC:
     near ends, internal far ends (inward derivative convention built in).
     ``admissibility``, when given, must be the exact admissibility numbers of
     ``bc`` (as :func:`assemble` knows them from the vertex blocks); otherwise
-    they are measured on first use.
+    they are measured on first use.  ``blocks``, when given, must be the
+    vertex pairs of ``bc`` as :func:`assemble` writes them; otherwise the
+    whole pair is one block (see :meth:`vertex_blocks`).
     """
 
     n: int
@@ -170,8 +172,9 @@ class GlobalBC:
     lengths: tuple
     bc: BoundaryCondition
     admissibility: InitVar[boundary.Admissibility | None] = None
+    blocks: InitVar[tuple | None] = None
 
-    def __post_init__(self, admissibility):
+    def __post_init__(self, admissibility, blocks):
         lengths = tuple(float(a) for a in self.lengths)
         object.__setattr__(self, "lengths", lengths)
         if len(lengths) != self.m:
@@ -183,6 +186,18 @@ class GlobalBC:
                 f"global condition has size {self.bc.dim}, expected "
                 f"{self.n + 2 * self.m}")
         object.__setattr__(self, "_admissibility", admissibility)
+        if blocks is None:
+            blocks = ((np.arange(self.bc.dim)[None], self.bc.A[None], self.bc.B[None]),)
+        object.__setattr__(self, "_blocks", tuple(blocks))
+
+    def vertex_blocks(self) -> tuple:
+        """One ``(columns, a_blocks, b_blocks)`` stack per vertex size: the
+        i-th pair ``(a_blocks[i], b_blocks[i])`` couples the endpoints in the
+        global columns ``columns[i]``.  Each column belongs to one vertex, so
+        the vertex S-matrices scattered by these columns make the S-matrix of
+        ``bc``.
+        """
+        return self._blocks
 
     def admissibility_numbers(self) -> boundary.Admissibility:
         """The admissibility numbers of ``bc``.
@@ -245,7 +260,8 @@ def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
 
     The blocks of each size, measured by :func:`measure_vertices`, are
     written into ``(A, B)`` by one indexed assignment, so the numpy calls do
-    not grow with the vertex count.  Each vertex is judged at ``tol``; the
+    not grow with the vertex count, and kept as the result's
+    :meth:`GlobalBC.vertex_blocks`.  Each vertex is judged at ``tol``; the
     global pair's numbers are combined from the vertex ones, so no check of
     the N x N pair decomposes it.
 
@@ -268,12 +284,13 @@ def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
     first_row = np.cumsum([0] + [v.bc.dim for v in vertices])
     assert first_row[-1] == size
     parts, stacks = measure_vertices(vertices)
+    blocks = []
     for members, a_blocks, b_blocks in stacks:
         rows = (first_row[members][:, None] + np.arange(a_blocks.shape[-1]))[:, :, None]
-        cols = np.array([[col[e] for e in vertices[vi].endpoints]
-                         for vi in members])[:, None, :]
-        a[rows, cols] = a_blocks
-        b[rows, cols] = b_blocks
+        cols = np.array([[col[e] for e in vertices[vi].endpoints] for vi in members])
+        a[rows, cols[:, None, :]] = a_blocks
+        b[rows, cols[:, None, :]] = b_blocks
+        blocks.append((cols, a_blocks, b_blocks))
     for vi, numbers in enumerate(parts):
         try:
             numbers.require(tol)
@@ -282,7 +299,7 @@ def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
     # (A, B) is a row- and column-permuted block sum of the vertex pairs
     return GlobalBC(n=n, m=m, lengths=tuple(length for _, length in g.internals),
                     bc=BoundaryCondition(a, b),
-                    admissibility=boundary.combine_admissibility(parts))
+                    admissibility=boundary.combine_admissibility(parts), blocks=blocks)
 
 
 def trivial_vertex_bc() -> BoundaryCondition:

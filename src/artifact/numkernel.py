@@ -1,11 +1,15 @@
 """Dense complex linear algebra primitives with explicit tolerance semantics.
 
 Guarded solves, the pseudoinverse, and rank and defect measurements of single
-matrices and stacks.  The batched paths of ``boundary``, ``scattering`` and
+matrices and stacks.  The tolerances here are relative to the largest
+singular value.  The batched paths of ``boundary``, ``scattering`` and
 ``starprod`` call ``numpy.linalg`` themselves, and no library path calls
-:func:`solve_linear`: the vertex S-matrices solve ``A + ikB``, which is
-invertible for every admissible pair, by plain LU.  Every entry point here
-coerces and checks its inputs via :func:`as_complex_matrix` (``complex128``).
+:func:`solve_linear` or :func:`pseudoinverse`: the vertex S-matrices solve
+``A + ikB``, which is invertible for every admissible pair, by plain LU, and
+the scattering solver's bond matrix has its singular values in ``[0, 2]``, so
+its singularity test and minimum-norm solve take an absolute tolerance on
+``sigma_min``.  Every entry point here coerces and checks its inputs via
+:func:`as_complex_matrix` (``complex128``).
 """
 from __future__ import annotations
 

@@ -4,24 +4,34 @@ embedded eigenvalues, and the identities they satisfy.
 For a graph with ``n`` external and ``m`` internal lines and global boundary
 condition ``(A, B)``, the scattering solution at energy ``E = k^2 > 0`` is the
 plane-wave ansatz ``e^{-ikx} + S e^{ikx}`` on external lines and
-``alpha e^{ikx} + beta e^{-ikx}`` on internal ones.  Imposing the boundary
-condition turns this into the linear system
+``alpha e^{ikx} + beta e^{-ikx}`` on internal ones.  At each vertex the
+condition maps the amplitudes arriving at its endpoints to the departing ones
+by the vertex S-matrix ``S_v(k) = -(A_v + ikB_v)^{-1} (A_v - ikB_v)``, unitary
+for every admissible coupling, and an internal line of length ``a`` carries
+what departs from one end to the other with the phase ``exp(ika)`` (the bond
+form of Kottos & Smilansky, Ann. Phys. 274, 76 (1999)).  With ``S_V`` the
+vertex S-matrices in the ``n + 2m`` endpoint columns, ``J`` the swap of the
+two ends of every line and ``T(k) = diag(exp(ika), exp(ika))``, the departing
+internal amplitudes ``y`` solve
 
-    ``Z(E) (S; alpha; beta) = -(A - ikB) (I; 0; 0)``,
-    ``Z(E) = A X(E) + ik B Y(E)``,
+    ``B(k) y = S_ie``,  ``B(k) = I - S_ii J T``  (the 2m x 2m bond matrix),
+    ``S = S_ee + S_ei J T y``,  ``alpha = y[:m]``,  ``beta = exp(ika) y[m:]``.
 
-whose coefficient blocks are assembled by :func:`build_xyz`.  ``Z`` is
-invertible away from a discrete set of energies; those exceptional energies
-are exactly the eigenvalues embedded in the continuous spectrum, located by
-:func:`spectrum`.  At an embedded eigenvalue the system stays solvable, the S
-block is still unique, and :func:`solve_scattering` returns the minimum-norm
-solution with ``at_eigenvalue`` set.
+``S_ii J T`` is a contraction, so the singular values of ``B`` lie in
+``[0, 2]`` at every energy and every test on ``sigma_min(B)`` is absolute.
+``B`` is singular exactly at the eigenvalues embedded in the continuous
+spectrum, located by :func:`spectrum`; a kernel vector of ``B`` sends nothing
+out (``S_V`` is unitary), so the S block stays unique there and
+:func:`solve_scattering` returns the minimum-norm solution with
+``at_eigenvalue`` set.  :func:`build_xyz` forms the equivalent dense system
+``Z(E) (S; alpha; beta) = -(A - ikB) (I; 0; 0)``, ``Z = A X + ik B Y``, as a
+reference.
 
-Every energy goes through one path: :func:`z_stack` builds ``Z`` for a stack
-of wavenumbers, one values-only SVD per energy decides regular or singular,
-and regular energies are solved by LU.  One kernel decomposes the energy axis
-in batches: :func:`solve_many` (behind :func:`sweep`, :func:`solve_scattering`
-and ``artifact sweep``) and every stage of :func:`spectrum` read from it.
+One function evaluates vertex S-matrices, for a stack of vertices and
+wavenumbers (:func:`smatrix_single_vertex` is its one-vertex case), and one
+kernel forms ``B`` with its values-only SVD in batches along the energy axis:
+:func:`solve_many` (behind :func:`sweep`, :func:`solve_scattering` and
+``artifact sweep``) and every stage of :func:`spectrum` read from it.
 """
 from __future__ import annotations
 
@@ -33,16 +43,22 @@ from . import boundary, numkernel
 from .boundary import BoundaryCondition, InvalidBoundaryCondition
 from .graph import GlobalBC
 
-# Relative sigma_min/sigma_max threshold below which Z(E) counts as singular.
+# Absolute threshold on sigma_min(B) below which the bond matrix counts as
+# singular.
 SINGULAR_TOL = 1e-8
+# k * max(lengths) from which one rounding of the phase k a reaches 1 rad.
+PHASE_BOUND = 2.0 ** 52
+# Most energies a sweep or a spectrum scan may ask for.
+MAX_GRID_POINTS = 10 ** 7
 # Fixed iteration budget of the golden-section refinement.
 GOLDEN_ITERATIONS = 40
 # Candidate eigenvalues closer than this (relatively) are merged.
 MERGE_RELATIVE = 1e-6
 # Default grid density: points per unit of max_length * (k_max - k_min).
 GRID_DENSITY = 2000
-# Complex entries of Z per batch: a batch holds max(1, CHUNK_ENTRIES // N^2)
-# energies, so memory stays flat in the grid length and in N.
+# Complex entries of the scattered vertex S-matrices per batch: a batch holds
+# max(1, CHUNK_ENTRIES // N^2) energies, so memory stays flat in the grid
+# length and in N.
 CHUNK_ENTRIES = 1 << 14
 # ScatteringResult.solve_path values.
 REGULAR = "regular"
@@ -59,7 +75,8 @@ class NoExternalLines(ValueError):
 
 
 class BadWindow(ValueError):
-    """Raised when a spectral search window is empty or nonpositive."""
+    """Raised when a spectral search window is empty or nonpositive, or its
+    grid has fewer than 3 or more than :data:`MAX_GRID_POINTS` points."""
 
 
 class NotAnEigenvalue(ValueError):
@@ -71,13 +88,16 @@ class OutOfDomain(ValueError):
 
 
 class InconsistentSystem(RuntimeError):
-    """Raised when the minimum-norm solve leaves a relative residual or an S
-    block unitarity defect above 1e-8.
+    """Raised at an energy beyond floating-point reach, or when the
+    minimum-norm solve leaves a residual or an S block unitarity defect above
+    1e-8.
 
-    For admissible boundary conditions the scattering system is solvable at
-    every positive energy and its S block is unitary, so this signals
-    corrupted input, or an energy beyond floating-point reach, rather than a
-    legitimate outcome.
+    An energy is beyond reach once ``k * max(lengths) >= 2**52``
+    (:data:`PHASE_BOUND`): one rounding of the phase ``k a`` is then at least
+    1 rad, so ``exp(ika)`` carries no correct digit.  For admissible boundary
+    conditions the scattering system is solvable at every positive energy and
+    its S block is unitary, so a failed minimum-norm solve signals corrupted
+    input rather than a legitimate outcome.
     """
 
 
@@ -86,11 +106,13 @@ class ScatteringResult:
     """Scattering data at one energy.
 
     ``s`` is n x n; ``alpha``/``beta`` are m x n (column = incoming channel).
-    ``at_eigenvalue`` marks energies where Z(E) was numerically singular; the
-    S block is unique there but alpha/beta are the minimum-norm choice.
-    ``sigma_ratio`` is sigma_min/sigma_max of Z(E) (0 for a zero matrix), and
-    ``solve_path`` says which solve ran: :data:`REGULAR` (LU) or
-    :data:`MINIMUM_NORM` (pseudoinverse, exactly when ``at_eigenvalue``).
+    ``at_eigenvalue`` marks energies where the bond matrix ``B(k)`` was
+    numerically singular (``sigma_min(B) < tol``, absolute); the S block is
+    unique there but alpha/beta are the minimum-norm choice.
+    ``sigma_ratio`` is ``sigma_min(B)``, in ``[0, 2]`` (1 for a graph without
+    internal lines, which has no ``B``), and ``solve_path`` says which solve
+    ran: :data:`REGULAR` (LU) or :data:`MINIMUM_NORM` (truncated SVD, exactly
+    when ``at_eigenvalue``).
     """
 
     energy: float
@@ -107,7 +129,7 @@ class ScatteringResult:
 class SpectrumResult:
     """Embedded eigenvalues found in a window, sorted ascending.
 
-    ``residuals[i]`` is sigma_min(Z) at ``eigenvalues[i]``.
+    ``residuals[i]`` is ``sigma_min(B)`` at ``eigenvalues[i]``.
     """
 
     eigenvalues: tuple
@@ -123,37 +145,88 @@ def _check_energy(energy: float) -> float:
     return energy
 
 
-def z_stack(gbc: GlobalBC, ks) -> np.ndarray:
-    """``Z(k^2)`` for every wavenumber in ``ks``, as a ``(len(ks), N, N)`` stack.
+def _check_phase(gbc: GlobalBC, k: float) -> None:
+    """Raise :class:`InconsistentSystem` when ``k`` is beyond :data:`PHASE_BOUND`."""
+    if gbc.m and k * max(gbc.lengths) >= PHASE_BOUND:
+        raise InconsistentSystem(
+            f"k * max(lengths) = {k * max(gbc.lengths):.3e} reaches 2**52: the "
+            f"bond phases exp(ika) carry no correct digit")
 
-    ``X`` and ``Y`` are the identity outside the internal-line blocks, so
-    ``Z = A X + ik B Y`` is column arithmetic on ``A`` and ``B``, O(N^2) per
-    energy.  For internal line ``j`` with phase ``p = exp(ik a_j)``, the
-    near-end column is ``A_0 + p A_a + ik (B_0 - p B_a)`` and the far-end
-    column ``A_0 + A_a / p + ik (B_a / p - B_0)``; external columns are
-    ``A + ik B``.
+
+def _vertex_smatrices(a_blocks: np.ndarray, b_blocks: np.ndarray, ks) -> np.ndarray:
+    """``S_v(k) = -(A_v + ikB_v)^{-1} (A_v - ikB_v)`` for every pair of a
+    ``(V, d, d)`` stack and every wavenumber of ``ks``, as a
+    ``(len(ks), V, d, d)`` stack from one batched LU solve: ``A + ikB`` is
+    invertible for every admissible pair and real ``k != 0``."""
+    ikb = 1j * np.asarray(ks, dtype=float)[:, None, None, None] * b_blocks
+    return -np.linalg.solve(a_blocks + ikb, a_blocks - ikb)
+
+
+def smatrix_single_vertex(bc: BoundaryCondition, energy: float,
+                          tol: float = boundary.DEFAULT_TOL) -> np.ndarray:
+    """On-shell S-matrix of a single vertex with only external lines.
+
+    Evaluates ``S(E) = -(A + ikB)^{-1} (A - ikB)``, which is unitary for every
+    admissible condition and every ``E > 0``.
     """
+    energy = _check_energy(energy)
+    boundary.require_valid(bc, tol)
+    return _vertex_smatrices(bc.A[None], bc.B[None], [np.sqrt(energy)])[0, 0]
+
+
+def _scattered(gbc: GlobalBC, ks) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, phases)`` at every wavenumber of ``ks``: ``phases = exp(ika)``,
+    ``(len(ks), m)``, and the vertex S-matrices scattered once by their
+    columns into ``w``, ``(len(ks), N, N)``, with ``S_V`` in the external
+    columns, ``-S_V J T`` in the internal ones and the identity added to the
+    internal block.  So ``w[:, n:, :n]`` is ``S_ie``, ``w[:, n:, n:]`` is the
+    bond matrix ``B = I - S_ii J T``, and
+    ``S = w[:, :n, :n] - w[:, :n, n:] @ B^{-1} S_ie``."""
     ks = np.asarray(ks, dtype=float)
-    a, b = gbc.bc.A, gbc.bc.B
     n, m = gbc.n, gbc.m
-    ik = 1j * ks[:, None, None]
-    z = np.empty((len(ks), n + 2 * m, n + 2 * m), dtype=complex)
-    z[:, :, :n] = a[:, :n] + ik * b[:, :n]
-    if m:
-        p = np.exp(1j * ks[:, None, None] * np.asarray(gbc.lengths))
-        near, far = slice(n, n + m), slice(n + m, n + 2 * m)
-        a0, aa, b0, ba = a[:, near], a[:, far], b[:, near], b[:, far]
-        z[:, :, near] = a0 + p * aa + ik * (b0 - p * ba)
-        z[:, :, far] = a0 + aa / p + ik * (ba / p - b0)
-    return z
+    size = n + 2 * m
+    # column c of S_V is column swap[c] of S_V J
+    swap = np.concatenate([np.arange(n), np.arange(n + m, size), np.arange(n, n + m)])
+    w = np.zeros((len(ks), size, size), dtype=complex)
+    for cols, a_blocks, b_blocks in gbc.vertex_blocks():
+        w[:, cols[:, :, None], swap[cols][:, None, :]] = \
+            _vertex_smatrices(a_blocks, b_blocks, ks)
+    phases = np.exp(1j * (ks[:, None] * np.asarray(gbc.lengths)))
+    for ends in (slice(n, n + m), slice(n + m, size)):
+        w[:, :, ends] *= -phases[:, None, :]
+    inner = np.arange(n, size)
+    w[:, inner, inner] += 1.0
+    return w, phases
+
+
+def _sigma_min(sigma: np.ndarray) -> np.ndarray:
+    """The smallest of each row of singular values, 1 for empty rows (no
+    internal lines, no bond matrix)."""
+    return sigma[..., -1] if sigma.shape[-1] else np.ones(sigma.shape[:-1])
+
+
+def _decompositions(gbc: GlobalBC, ks):
+    """``(part, w, phases, sigma_min)`` for each batch of CHUNK_ENTRIES entries:
+    ``(w, phases)`` is :func:`_scattered` at the array slice ``ks[part]``, and
+    ``sigma_min`` is ``sigma_min(B)`` from one values-only SVD of the stack of
+    bond matrices ``w[:, n:, n:]``.  Every decomposition of ``B`` on the
+    energy axis is here."""
+    n, size = gbc.n, gbc.n + 2 * gbc.m
+    step = max(1, CHUNK_ENTRIES // max(1, size * size))
+    for start in range(0, len(ks), step):
+        part = slice(start, start + step)
+        w, phases = _scattered(gbc, ks[part])
+        yield part, w, phases, _sigma_min(np.linalg.svd(w[:, n:, n:], compute_uv=False))
 
 
 def build_xyz(gbc: GlobalBC, energy: float):
-    """The matrices ``X(E)``, ``Y(E)``, ``Z(E)`` of the scattering system.
+    """The matrices ``X(E)``, ``Y(E)`` and ``Z(E) = A X + ik B Y`` of the dense
+    scattering system ``Z (S; alpha; beta) = -(A - ikB) (I; 0; 0)``.
 
     Endpoint order is (externals, internal near ends, internal far ends);
-    with no internal lines both X and Y degenerate to the identity.  ``Z``
-    comes from :func:`z_stack`.
+    with no internal lines both X and Y degenerate to the identity.  The
+    solver works on the bond matrix instead; this system is the reference it
+    is checked against.
     """
     energy = _check_energy(energy)
     n, m = gbc.n, gbc.m
@@ -171,75 +244,45 @@ def build_xyz(gbc: GlobalBC, energy: float):
         y[sl0, sla] = -np.eye(m)
         y[sla, sl0] = -np.diag(phases)
         y[sla, sla] = np.diag(1.0 / phases)
-    return x, y, z_stack(gbc, [k])[0]
+    return x, y, gbc.bc.A @ x + 1j * k * gbc.bc.B @ y
 
 
-def _decompositions(gbc: GlobalBC, ks):
-    """``(part, z, sigma)`` for each batch of CHUNK_ENTRIES entries of ``Z``: ``z``
-    is :func:`z_stack` at the array slice ``ks[part]``, ``sigma`` its values-only
-    SVD.  Every values-only decomposition of ``Z`` on the energy axis is here."""
-    size = gbc.n + 2 * gbc.m
-    step = max(1, CHUNK_ENTRIES // max(1, size * size))
-    for start in range(0, len(ks), step):
-        part = slice(start, start + step)
-        z = z_stack(gbc, ks[part])
-        yield part, z, np.linalg.svd(z, compute_uv=False)
+def _minimum_norm_solve(bond: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """The least-norm solution of ``bond @ y = rhs`` with the singular values
+    below ``tol`` taken as zeros."""
+    u, sigma, vh = np.linalg.svd(bond)
+    keep = sigma >= tol
+    y = vh[keep].conj().T @ ((u[:, keep].conj().T @ rhs) / sigma[keep, None])
+    residual = numkernel.spectral_norm(bond @ y - rhs)
+    if residual > 1e-8:
+        raise InconsistentSystem(f"minimum-norm solve left residual {residual:.3e}")
+    return y
 
 
-def _ratio(top, bottom):
-    """sigma_min/sigma_max, with 0 for a zero matrix."""
-    return np.divide(bottom, top, out=np.zeros_like(top), where=top != 0.0)
-
-
-def smatrix_single_vertex(bc: BoundaryCondition, energy: float,
-                          tol: float = boundary.DEFAULT_TOL) -> np.ndarray:
-    """On-shell S-matrix of a single vertex with only external lines.
-
-    Evaluates ``S(E) = -(A + ikB)^{-1} (A - ikB)``, which is unitary for every
-    admissible condition and every ``E > 0``.
-    """
-    energy = _check_energy(energy)
-    boundary.require_valid(bc, tol)
-    k = np.sqrt(energy)
-    # A + ikB is invertible for every admissible pair and real k != 0
-    return -np.linalg.solve(bc.A + 1j * k * bc.B, bc.A - 1j * k * bc.B)
-
-
-def _minimum_norm_solve(z: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
-    sol = numkernel.pseudoinverse(z, tol) @ rhs
-    residual = numkernel.spectral_norm(z @ sol - rhs)
-    scale = max(numkernel.spectral_norm(rhs), 1.0)
-    if residual > 1e-8 * scale:
-        raise InconsistentSystem(
-            f"minimum-norm solve left relative residual {residual / scale:.3e}")
-    return sol
-
-
-def _solve_batch(gbc: GlobalBC, energies: np.ndarray, z: np.ndarray,
-                 sigma: np.ndarray, tol: float) -> list:
+def _solve_batch(gbc: GlobalBC, energies: np.ndarray, w: np.ndarray,
+                 phases: np.ndarray, bottom: np.ndarray, tol: float) -> list:
     """Results at checked energies of an admissible ``gbc`` with external lines,
     from one batch of :func:`_decompositions`; an :class:`InconsistentSystem`
     instance stands for a refused minimum-norm solve."""
     n, m = gbc.n, gbc.m
-    ik = 1j * np.sqrt(energies)[:, None, None]
-    rhs = -(gbc.bc.A[:, :n] - ik * gbc.bc.B[:, :n])
-    top, bottom = sigma[:, 0], sigma[:, -1]
-    singular = (top == 0.0) | (bottom < tol * top)
-    sol = np.zeros_like(rhs)
+    bond, rhs = w[:, n:, n:], w[:, n:, :n]
+    singular = bottom < tol
+    y = np.zeros_like(rhs)
     regular = np.flatnonzero(~singular)
     if regular.size:
-        sol[regular] = np.linalg.solve(z[regular], rhs[regular])
+        y[regular] = np.linalg.solve(bond[regular], rhs[regular])
     failed = {}
     for i in np.flatnonzero(singular):
         try:
-            sol[i] = _minimum_norm_solve(z[i], rhs[i], tol)
+            y[i] = _minimum_norm_solve(bond[i], rhs[i], tol)
         except InconsistentSystem as exc:
             failed[i] = exc
-    defects = numkernel.unitarity_defects(sol[:, :n, :])
+    s = w[:, :n, :n] - w[:, :n, n:] @ y
+    defects = numkernel.unitarity_defects(s)
     for i in np.flatnonzero(singular & (defects > 1e-8)):
         failed.setdefault(i, InconsistentSystem(
             f"minimum-norm solve gave an S block with unitarity defect {defects[i]:.3e}"))
-    ratios = _ratio(top, bottom)
+    beta = phases[:, :, None] * y[:, m:]
     results = []
     for i, energy in enumerate(energies):
         if i in failed:
@@ -247,12 +290,12 @@ def _solve_batch(gbc: GlobalBC, energies: np.ndarray, z: np.ndarray,
             continue
         results.append(ScatteringResult(
             energy=float(energy),
-            s=sol[i, :n, :],
-            alpha=sol[i, n:n + m, :],
-            beta=sol[i, n + m:, :],
+            s=s[i],
+            alpha=y[i, :m],
+            beta=beta[i],
             at_eigenvalue=bool(singular[i]),
             unitarity_defect=float(defects[i]),
-            sigma_ratio=float(ratios[i]),
+            sigma_ratio=float(bottom[i]),
             solve_path=MINIMUM_NORM if singular[i] else REGULAR,
         ))
     return results
@@ -280,13 +323,16 @@ def solve_many(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL) -> list:
     index, checked = [], []
     for i, e in enumerate(grid):
         try:
-            checked.append(_check_energy(e))
-            index.append(i)
-        except NonpositiveEnergy as exc:
+            energy = _check_energy(e)
+            _check_phase(gbc, np.sqrt(energy))
+        except (NonpositiveEnergy, InconsistentSystem) as exc:
             outcomes[i] = exc
+            continue
+        checked.append(energy)
+        index.append(i)
     checked = np.array(checked, dtype=float)
-    for part, z, sigma in _decompositions(gbc, np.sqrt(checked)):
-        batch = _solve_batch(gbc, checked[part], z, sigma, tol)
+    for part, w, phases, bottom in _decompositions(gbc, np.sqrt(checked)):
+        batch = _solve_batch(gbc, checked[part], w, phases, bottom, tol)
         for i, out in zip(index[part], batch):
             outcomes[i] = out
     return outcomes
@@ -299,13 +345,14 @@ def solve_scattering(gbc: GlobalBC, energy: float,
     Args:
         gbc: assembled global boundary condition (must be admissible).
         energy: energy, strictly positive.
-        tol: relative singularity threshold on Z(E); below it the system is
-            solved through the pseudoinverse (minimum-norm least squares) and
+        tol: absolute singularity threshold on ``sigma_min(B)`` of the bond
+            matrix, whose singular values lie in ``[0, 2]``; below it the
+            system is solved for its minimum-norm solution and
             ``at_eigenvalue`` is set.
 
     Raises:
         NonpositiveEnergy, NoExternalLines, InvalidBoundaryCondition,
-        InconsistentSystem.
+        InconsistentSystem (also beyond :data:`PHASE_BOUND`).
     """
     energy = _check_energy(energy)
     (outcome,) = solve_many(gbc, [energy], tol)
@@ -314,13 +361,13 @@ def solve_scattering(gbc: GlobalBC, energy: float,
     return outcome
 
 
-def _extreme_sigmas(gbc: GlobalBC, ks):
-    """sigma_max and sigma_min of Z(k^2) for every k in ``ks``, in batches."""
+def _smallest_sigmas(gbc: GlobalBC, ks) -> np.ndarray:
+    """``sigma_min(B(k))`` for every k in ``ks``, in batches."""
     ks = np.asarray(ks, dtype=float)
-    top, bottom = np.empty(len(ks)), np.empty(len(ks))
-    for part, _, sigma in _decompositions(gbc, ks):
-        top[part], bottom[part] = sigma[:, 0], sigma[:, -1]
-    return top, bottom
+    bottom = np.empty(len(ks))
+    for part, _, _, sigma_min in _decompositions(gbc, ks):
+        bottom[part] = sigma_min
+    return bottom
 
 
 def _golden_minimize(f, lo, hi, iterations: int = GOLDEN_ITERATIONS):
@@ -347,44 +394,49 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
              tol: float = SINGULAR_TOL) -> SpectrumResult:
     """Locate the embedded eigenvalues in ``(e_min, e_max]``.
 
-    Scans ``sigma_min(Z)/sigma_max(Z)`` on a grid uniform in ``k = sqrt(E)``,
-    takes each local minimum below ``max(1e-2, 10 tol)`` as a candidate,
-    refines all candidates in lockstep by golden-section search (fixed
-    iteration count, one batched decomposition per step), merges candidates
-    within 1e-6 relative energy, and accepts a candidate when the refined
-    ``sigma_min < tol * sigma_max``.  A candidate within 1e-6 relative energy
-    of ``e_min`` is the excluded left edge and is dropped.
+    Scans ``sigma_min(B)`` of the bond matrix on a grid uniform in
+    ``k = sqrt(E)``, takes each local minimum below ``max(1e-2, 10 tol)`` as a
+    candidate, refines all candidates in lockstep by golden-section search
+    (fixed iteration count, one batched decomposition per step), merges
+    candidates within 1e-6 relative energy, and accepts a candidate when the
+    refined ``sigma_min(B) < tol`` (absolute: the singular values of ``B`` lie
+    in ``[0, 2]``).  A candidate within 1e-6 relative energy of ``e_min`` is
+    the excluded left edge and is dropped.
 
     Args:
         grid: number of scan points; defaults to about 2000 per unit of
             ``max(lengths) * (sqrt(e_max) - sqrt(e_min))``.
 
     Raises:
-        BadWindow: unless ``0 < e_min < e_max`` and both are finite.
+        BadWindow: unless ``0 < e_min < e_max`` and both are finite, or when
+            the grid, given or default, has fewer than 3 or more than
+            :data:`MAX_GRID_POINTS` points.
+        InconsistentSystem: when ``e_max`` is beyond :data:`PHASE_BOUND`.
     """
     if not (np.isfinite(e_min) and np.isfinite(e_max)) or not 0.0 < e_min < e_max:
         raise BadWindow(f"need 0 < e_min < e_max, got ({e_min!r}, {e_max!r})")
     gbc.require_admissible()
     if gbc.m == 0:
-        # Z(E) = A + ikB is invertible at every positive energy
+        # no internal lines: no bond matrix, no embedded eigenvalue
         return SpectrumResult((), (), (float(e_min), float(e_max)), 0)
 
     k_lo, k_hi = np.sqrt(e_min), np.sqrt(e_max)
+    _check_phase(gbc, k_hi)
     if grid is None:
-        span = max(gbc.lengths) * (k_hi - k_lo)
-        grid = int(max(200, np.ceil(GRID_DENSITY * span)))
-    elif grid < 3:
-        raise BadWindow(f"grid must have at least 3 points, got {grid!r}")
+        grid = max(200.0, np.ceil(GRID_DENSITY * max(gbc.lengths) * (k_hi - k_lo)))
+    if not 3 <= grid <= MAX_GRID_POINTS:
+        raise BadWindow(f"grid must have 3 to {MAX_GRID_POINTS} points, got {grid!r}")
+    grid = int(grid)
     ks = np.linspace(k_lo, k_hi, grid)
-    ratios = _ratio(*_extreme_sigmas(gbc, ks))
+    sigmas = _smallest_sigmas(gbc, ks)
 
-    padded = np.concatenate([[np.inf], ratios, [np.inf]])
-    minima = np.flatnonzero((ratios <= padded[:-2]) & (ratios <= padded[2:])
-                            & (ratios < max(1e-2, 10.0 * tol)))
+    padded = np.concatenate([[np.inf], sigmas, [np.inf]])
+    minima = np.flatnonzero((sigmas <= padded[:-2]) & (sigmas <= padded[2:])
+                            & (sigmas < max(1e-2, 10.0 * tol)))
     candidates = []
     if minima.size:
         k_star, r_star = _golden_minimize(
-            lambda k: _ratio(*_extreme_sigmas(gbc, k)),
+            lambda k: _smallest_sigmas(gbc, k),
             ks[np.maximum(minima - 1, 0)], ks[np.minimum(minima + 1, grid - 1)])
         for k, r in zip(k_star, r_star.tolist()):
             e_star = float(k ** 2)
@@ -402,33 +454,37 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
             merged.append((e, r))
 
     eigenvalues = tuple(e for e, _ in merged)
-    _, residuals = _extreme_sigmas(gbc, np.sqrt(eigenvalues))
+    residuals = _smallest_sigmas(gbc, np.sqrt(eigenvalues))
     return SpectrumResult(eigenvalues, tuple(float(r) for r in residuals),
                           (float(e_min), float(e_max)), grid)
 
 
 def eigenfunction(gbc: GlobalBC, energy: float, tol: float = SINGULAR_TOL):
-    """Orthonormal basis of the kernel of Z(E) as ``(alpha_hat, beta_hat)`` pairs.
+    """Orthonormal basis of the bound states at ``energy`` as
+    ``(alpha_hat, beta_hat)`` pairs.
 
-    The first ``n`` components of every kernel vector vanish (eigenfunctions
-    are supported on the internal lines), so only the interior coefficient
-    blocks are returned.
+    Each pair comes from a kernel vector ``y`` of the bond matrix ``B(k)``
+    (``alpha_hat = y[:m]``, ``beta_hat = exp(ika) y[m:]``): the singular
+    vectors of ``sigma < tol``, absolute.  Eigenfunctions are supported on
+    the internal lines, so no external amplitude is returned.
 
     Raises:
-        NotAnEigenvalue: when Z(E) has no numerical kernel at ``tol``.
+        NotAnEigenvalue: when ``B`` has no singular value below ``tol``.
+        InconsistentSystem: beyond :data:`PHASE_BOUND`.
     """
     energy = _check_energy(energy)
     gbc.require_admissible()
+    k = np.sqrt(energy)
+    _check_phase(gbc, k)
     n, m = gbc.n, gbc.m
-    _, sigma, vh = np.linalg.svd(z_stack(gbc, [np.sqrt(energy)])[0])
-    if sigma[0] == 0.0:
-        raise NotAnEigenvalue("Z(E) is the zero matrix; invalid boundary condition")
-    kernel = [vh[j].conj() for j in range(len(sigma)) if sigma[j] < tol * sigma[0]]
-    if not kernel:
+    w, phases = _scattered(gbc, [k])
+    _, sigma, vh = np.linalg.svd(w[0, n:, n:])
+    kernel = vh[sigma < tol].conj()
+    if not len(kernel):
         raise NotAnEigenvalue(
-            f"sigma_min/sigma_max = {sigma[-1] / sigma[0]:.3e} at energy {energy!r}, "
-            f"not singular at tolerance {tol:g}")
-    return [(v[n:n + m].copy(), v[n + m:].copy()) for v in kernel]
+            f"sigma_min(B) = {_sigma_min(sigma):.3e} at energy {energy!r}, "
+            f"not below tolerance {tol:g}")
+    return [(y[:m].copy(), phases[0] * y[m:]) for y in kernel]
 
 
 def evaluate_wavefunction(gbc: GlobalBC, result: ScatteringResult, channel: int,

@@ -362,16 +362,53 @@ def test_sweep_rejects_closed_graphs_and_bad_grids(capsys):
     capsys.readouterr()
 
 
+def _ring_closed_form(k):
+    q = np.exp(1j * k)
+    r, t = 3.0 * (q ** 2 - 1.0), 8.0 * q
+    return -np.array([[r, t], [t, r]]) / (q ** 2 - 9.0)
+
+
 def test_sweep_refuses_non_unitary_minimum_norm_rows(capsys):
-    # k a of 1e-150 and 1e150: Z(E) is numerically singular and its
-    # minimum-norm solution is far from a unitary S-matrix
+    # k of 1e-150 is solved and matches the closed form; the other rows have
+    # k a of 2e149 and more, past the 2**52 phase bound, and are refused
     assert main(["sweep", _fixture_path("ring.json"), "--emin", "1e-300",
-                 "--emax", "1e300", "--points", "6"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert [row.split(",")[-1] for row in out[1:]] == ["InconsistentSystem"] * 6
+                 "--emax", "1e300", "--points", "6", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    columns, rows = payload["columns"], payload["rows"]
+    assert [row[-1] for row in rows] == ["ok"] + ["InconsistentSystem"] * 5
+    first = rows[0]
+    s = np.array([first[columns.index(f"ReS_{o}_{i}")]
+                  + 1j * first[columns.index(f"ImS_{o}_{i}")]
+                  for o in ("l1", "l2") for i in ("l1", "l2")]).reshape(2, 2)
+    assert np.abs(s - _ring_closed_form(first[1])).max() <= 1e-12
     gbc = graphmod.assemble(loads_document(_fixture_text("ring.json")).to_graph())
-    with pytest.raises(scattering.InconsistentSystem, match="unitarity defect"):
-        scattering.solve_scattering(gbc, 1e20)
+    res = scattering.solve_scattering(gbc, 1e20)
+    assert np.abs(res.s - _ring_closed_form(1e10)).max() <= 1e-12
+    with pytest.raises(scattering.InconsistentSystem, match=r"2\*\*52"):
+        scattering.solve_scattering(gbc, 2.0 ** 104)
+
+
+def test_grids_past_the_size_limit_are_refused_before_allocating(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    assert main(["sweep", _fixture_path("ring.json"), "--emin", "1", "--emax", "2",
+                 "--points", "10000000000000"]) == 2
+    assert "at most 10000000, got 10000000000000" in capsys.readouterr().err
+    # the default grid of this window would have about 2e18 points
+    assert main(["spectrum", _fixture_path("ring.json"), "--emin", "1",
+                 "--emax", "1e30"]) == 2
+    assert "grid must have 3 to 10000000 points" in capsys.readouterr().err
+    assert main(["spectrum", _fixture_path("ring.json"), "--emin", "1", "--emax", "2",
+                 "--grid-points", str(scattering.MAX_GRID_POINTS + 1)]) == 2
+    assert "grid must have 3 to 10000000 points" in capsys.readouterr().err
+
+
+def test_spectrum_past_the_phase_bound_is_exit_1(capsys):
+    assert main(["spectrum", _fixture_path("ring.json"), "--emin", "1",
+                 "--emax", "1e40", "--grid-points", "10"]) == 1
+    assert "reaches 2**52" in capsys.readouterr().err
 
 
 def test_spectrum_ring(capsys):
@@ -477,8 +514,10 @@ def test_compose_linalg_calls_do_not_grow_with_the_energies(monkeypatch, capsys)
         capsys.readouterr()
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    # one stacked margin, and two stacked solves besides the three sides' ones
-    assert seen[0]["eigvals"] == 1 and seen[0]["solve"] == 5
+    # one stacked margin, two stacked solves for the products, one bond-matrix
+    # solve per assembled graph (empty for the two sides without internal
+    # lines) and one vertex S-matrix solve per vertex size of each of them
+    assert seen[0]["eigvals"] == 1 and seen[0]["solve"] == 2 + 3 + 3
 
 
 def test_selftest_passes_and_is_deterministic(capsys):

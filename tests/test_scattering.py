@@ -186,6 +186,8 @@ def test_spectrum_window_validation():
             spectrum(gbc, lo, hi)
     with pytest.raises(BadWindow):
         spectrum(gbc, 1.0, 2.0, grid=2)
+    with pytest.raises(BadWindow):
+        spectrum(gbc, 1.0, 2.0, grid=scattering.MAX_GRID_POINTS + 1)
 
 
 def test_closed_graph_spectrum_and_scattering_refusal():
@@ -215,6 +217,55 @@ def test_eigenfunction_ring_kernel_structure():
 def test_eigenfunction_multiplicity_on_circle():
     pairs = eigenfunction(assemble(_closed_circle()), np.pi ** 2)
     assert len(pairs) == 2
+
+
+def test_one_edge_circle_finds_both_double_eigenvalues():
+    # a kirchhoff vertex joining the two ends of one unit edge: Z(E) and the
+    # bond matrix vanish identically at E = (2 pi j)^2
+    g = MetricGraph((), (("e", 1.0),),
+                    (Vertex((int_ref("e", "0"), int_ref("e", "a")), kirchhoff_standard(2)),))
+    gbc = assemble(g)
+    result = spectrum(gbc, 1.0, 200.0)
+    assert_allclose(result.eigenvalues, [(2 * np.pi) ** 2, (4 * np.pi) ** 2], rtol=1e-10)
+    for e in result.eigenvalues:
+        pairs = eigenfunction(gbc, e)
+        assert len(pairs) == 2
+        basis = np.array([np.concatenate(pair) for pair in pairs])
+        assert_allclose(basis @ basis.conj().T, np.eye(2), atol=1e-12)
+        _, _, z = build_xyz(gbc, e)
+        assert numkernel.spectral_norm(z @ basis.T) < 1e-10
+
+
+def test_ring_matches_the_closed_form_from_1e_minus_300_to_1e30():
+    gbc = assemble(_ring())
+    energies = [10.0 ** j for j in range(-300, 31)]
+    for e, res in zip(energies, scattering.solve_many(gbc, energies)):
+        assert np.abs(res.s - _ring_smatrix(e)).max() <= 1e-12, e
+        assert res.unitarity_defect <= 1e-12
+
+
+def test_energies_past_the_phase_bound_are_refused():
+    gbc = assemble(_ring())
+    beyond = (2.0 ** 52) ** 2
+    below = np.nextafter(2.0 ** 52, 0.0) ** 2
+    outcomes = scattering.solve_many(gbc, [2.0, beyond, below, 1e300])
+    assert isinstance(outcomes[0], scattering.ScatteringResult)
+    assert isinstance(outcomes[2], scattering.ScatteringResult)
+    for out in (outcomes[1], outcomes[3]):
+        assert isinstance(out, scattering.InconsistentSystem)
+        assert "reaches 2**52" in str(out)
+    with pytest.raises(scattering.InconsistentSystem, match=r"2\*\*52"):
+        spectrum(gbc, 1.0, beyond, grid=10)
+    with pytest.raises(scattering.InconsistentSystem, match=r"2\*\*52"):
+        eigenfunction(gbc, beyond)
+    # the bound is on k * max(lengths), and a graph without internal lines has
+    # no phase to lose
+    assert isinstance(scattering.solve_many(assemble(_ring(4.0)), [below])[0],
+                      scattering.InconsistentSystem)
+    star = assemble(MetricGraph(("l1", "l2"), (),
+                                (Vertex((ext_ref("l1"), ext_ref("l2")),
+                                        kirchhoff_standard(2)),)))
+    assert_allclose(solve_scattering(star, 1e300).s, [[0, 1], [1, 0]], atol=1e-15)
 
 
 def test_eigenfunction_rejects_regular_energy():
@@ -326,16 +377,27 @@ def test_energy_validation():
         smatrix_single_vertex(dirichlet(1), -2.0)
 
 
-def test_z_stack_matches_dense_products():
-    # the column arithmetic against Z = A X + ik B Y with the dense X and Y
+def _fixture_gbcs():
+    for name in ("kirchhoff_star", "free_two_line", "robin_delta", "ring", "tadpole",
+                 "chain", "cyclic_junction"):
+        yield selftest._fixture_gbc(f"{name}.json")
+
+
+def test_bond_solution_satisfies_the_dense_z_system():
+    # (S, alpha, beta) from the bond matrix against Z (S; alpha; beta) =
+    # -(A - ikB) (I; 0; 0) with Z = A X + ik B Y from the dense X and Y
     rng = np.random.default_rng(8)
-    for seed in (1, 2, 3):
-        gbc = assemble(_two_vertex_graph(seed))
-        ks = rng.uniform(0.3, 6.0, size=4)
-        for k, z in zip(ks, scattering.z_stack(gbc, ks)):
-            x, y, _ = build_xyz(gbc, k * k)
-            dense = gbc.bc.A @ x + 1j * k * gbc.bc.B @ y
-            assert np.abs(z - dense).max() <= 1e-13 * np.abs(dense).max()
+    gbcs = list(_fixture_gbcs())
+    gbcs += [assemble(selftest._random_graph(rng)[0]) for _ in range(20)]
+    for gbc in gbcs:
+        n = gbc.n
+        energies = rng.uniform(0.3, 200.0, size=5)
+        for e, res in zip(energies, scattering.solve_many(gbc, energies)):
+            _, _, z = build_xyz(gbc, e)
+            sol = np.concatenate([res.s, res.alpha, res.beta])
+            rhs = -(gbc.bc.A[:, :n] - 1j * np.sqrt(e) * gbc.bc.B[:, :n])
+            scale = numkernel.spectral_norm(z) * numkernel.spectral_norm(sol)
+            assert numkernel.spectral_norm(z @ sol - rhs) <= 1e-12 * scale
 
 
 def test_directly_built_inadmissible_pair_is_refused(monkeypatch):
@@ -383,11 +445,11 @@ def test_batched_sweep_matches_per_energy_solves(monkeypatch):
 
 
 def test_batched_scan_ratios_equal_pointwise_ratios():
+    # sigma_min of the bond matrix, the quantity the scan reads
     gbc = assemble(_ring())
     ks = np.linspace(np.sqrt(0.5), 10.0, 2500)   # two batches at N = 6
-    batched = scattering._ratio(*scattering._extreme_sigmas(gbc, ks))
-    pointwise = np.array([scattering._ratio(*scattering._extreme_sigmas(gbc, [k]))[0]
-                          for k in ks])
+    batched = scattering._smallest_sigmas(gbc, ks)
+    pointwise = np.array([scattering._smallest_sigmas(gbc, [k])[0] for k in ks])
     assert np.array_equal(batched, pointwise)
 
 
@@ -443,23 +505,22 @@ def test_lockstep_refinement_equals_the_scalar_search():
         result = spectrum(gbc, e_min, e_max)
         grid = result.grid_points
         ks = np.linspace(np.sqrt(e_min), np.sqrt(e_max), grid)
-        ratios = scattering._ratio(*scattering._extreme_sigmas(gbc, ks))
+        sigmas = scattering._smallest_sigmas(gbc, ks)
         brackets = []
         for i in range(grid):
-            left = ratios[i - 1] if i > 0 else np.inf
-            right = ratios[i + 1] if i + 1 < grid else np.inf
-            if ratios[i] <= left and ratios[i] <= right and ratios[i] < 1e-2:
+            left = sigmas[i - 1] if i > 0 else np.inf
+            right = sigmas[i + 1] if i + 1 < grid else np.inf
+            if sigmas[i] <= left and sigmas[i] <= right and sigmas[i] < 1e-2:
                 brackets.append((ks[max(i - 1, 0)], ks[min(i + 1, grid - 1)]))
         assert len(brackets) >= 3
 
-        def ratio(k):
-            return float(scattering._ratio(*scattering._extreme_sigmas(gbc, [k]))[0])
+        def sigma_min(k):
+            return float(scattering._smallest_sigmas(gbc, [k])[0])
 
-        expected = np.array([_scalar_golden_minimize(ratio, lo, hi)
+        expected = np.array([_scalar_golden_minimize(sigma_min, lo, hi)
                              for lo, hi in brackets])
         k_star, r_star = scattering._golden_minimize(
-            lambda k: scattering._ratio(*scattering._extreme_sigmas(gbc, k)),
-            *np.array(brackets).T)
+            lambda k: scattering._smallest_sigmas(gbc, k), *np.array(brackets).T)
         assert np.array_equal(k_star, expected[:, 0])
         assert np.array_equal(r_star, expected[:, 1])
         assert set(result.eigenvalues) <= {float(k ** 2) for k in expected[:, 0]}
@@ -475,8 +536,8 @@ def test_spectrum_window_excludes_left_edge_only():
 
 def test_solve_scattering_validates_never_and_decomposes_once(monkeypatch):
     gbc = assemble(_ring())
-    counts = dict.fromkeys(("validate", "measure_admissibility", "solve"), 0)
-    svd_shapes = []
+    counts = dict.fromkeys(("validate", "measure_admissibility"), 0)
+    svd_shapes, solve_shapes = [], []
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -489,16 +550,27 @@ def test_solve_scattering_validates_never_and_decomposes_once(monkeypatch):
 
     counting(boundary, "validate")
     counting(boundary, "measure_admissibility")
-    counting(np.linalg, "solve")
-    svd = np.linalg.svd
+    svd, solve = np.linalg.svd, np.linalg.solve
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, *args, **kw: svd_shapes.append(np.shape(a))
                         or svd(a, *args, **kw))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solve_shapes.append((np.shape(a), np.shape(b)))
+                        or solve(a, b))
     res = solve_scattering(gbc, 2.0)
-    assert counts == {"validate": 0, "measure_admissibility": 0, "solve": 1}
-    # one decomposition of the 6 x 6 Z, one of the 2 x 2 S block's defect
-    assert svd_shapes == [(1, 6, 6), (1, 2, 2)]
-    assert res.solve_path == scattering.REGULAR and 0.0 < res.sigma_ratio < 1.0
+    assert counts == {"validate": 0, "measure_admissibility": 0}
+    # one solve for the two 3 x 3 vertex S-matrices, one of the 4 x 4 bond
+    # matrix for the two channels
+    assert solve_shapes == [((1, 2, 3, 3), (1, 2, 3, 3)), ((1, 4, 4), (1, 4, 2))]
+    # one decomposition of the bond matrix, one of the 2 x 2 S block's defect
+    assert svd_shapes == [(1, 4, 4), (1, 2, 2)]
+    assert res.solve_path == scattering.REGULAR
+    # sigma_min of B = I - diag(K, K) J T, with the kirchhoff block K on the
+    # two internal ends of each vertex
+    k_block = 2.0 / 3.0 * np.ones((2, 2)) - np.eye(2)
+    jt = np.kron([[0, 1], [1, 0]], np.exp(1j * np.sqrt(2.0)) * np.eye(2))
+    bond = np.eye(4) - np.kron(np.eye(2), k_block) @ jt
+    assert res.sigma_ratio == pytest.approx(svd(bond, compute_uv=False)[-1], rel=1e-13)
 
 
 def test_transforms_inherit_admissibility(monkeypatch):
