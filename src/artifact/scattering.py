@@ -29,9 +29,13 @@ reference.
 
 One function evaluates vertex S-matrices, for a stack of vertices and
 wavenumbers (:func:`smatrix_single_vertex` is its one-vertex case), and one
-kernel forms ``B`` with its values-only SVD in batches along the energy axis:
-:func:`solve_many` (behind :func:`sweep`, :func:`solve_scattering` and
-``artifact sweep``) and every stage of :func:`spectrum` read from it.
+generator forms ``B`` in batches along the energy axis.  :func:`solve_many`
+(behind :func:`sweep`, :func:`solve_scattering` and ``artifact sweep``)
+certifies each energy regular with one stacked inverse per batch, since
+``sigma_min(B) >= 1/||B^{-1}||_F`` for every invertible ``B``, solves the
+certified ones by LU and takes a full SVD only of the rest; every stage of
+:func:`spectrum` needs ``sigma_min(B)`` itself and reads it from a values-only
+SVD of each batch.
 """
 from __future__ import annotations
 
@@ -109,10 +113,12 @@ class ScatteringResult:
     ``at_eigenvalue`` marks energies where the bond matrix ``B(k)`` was
     numerically singular (``sigma_min(B) < tol``, absolute); the S block is
     unique there but alpha/beta are the minimum-norm choice.
-    ``sigma_ratio`` is ``sigma_min(B)``, in ``[0, 2]`` (1 for a graph without
-    internal lines, which has no ``B``), and ``solve_path`` says which solve
-    ran: :data:`REGULAR` (LU) or :data:`MINIMUM_NORM` (truncated SVD, exactly
-    when ``at_eigenvalue``).
+    ``sigma_min_bound`` is a lower bound on ``sigma_min(B)``, in ``[0, 2]``:
+    ``1/||B^{-1}||_F`` where that bound alone certified the energy regular,
+    ``sigma_min(B)`` itself where an SVD of ``B`` ran, and 1 for a graph
+    without internal lines, which has no ``B``.  ``solve_path`` says which
+    solve ran: :data:`REGULAR` (LU) or :data:`MINIMUM_NORM` (truncated SVD,
+    exactly when ``at_eigenvalue``).
     """
 
     energy: float
@@ -121,7 +127,7 @@ class ScatteringResult:
     beta: np.ndarray
     at_eigenvalue: bool
     unitarity_defect: float
-    sigma_ratio: float
+    sigma_min_bound: float
     solve_path: str
 
 
@@ -205,18 +211,33 @@ def _sigma_min(sigma: np.ndarray) -> np.ndarray:
     return sigma[..., -1] if sigma.shape[-1] else np.ones(sigma.shape[:-1])
 
 
-def _decompositions(gbc: GlobalBC, ks):
-    """``(part, w, phases, sigma_min)`` for each batch of CHUNK_ENTRIES entries:
-    ``(w, phases)`` is :func:`_scattered` at the array slice ``ks[part]``, and
-    ``sigma_min`` is ``sigma_min(B)`` from one values-only SVD of the stack of
-    bond matrices ``w[:, n:, n:]``.  Every decomposition of ``B`` on the
-    energy axis is here."""
-    n, size = gbc.n, gbc.n + 2 * gbc.m
+def _batches(gbc: GlobalBC, ks):
+    """``(part, w, phases)`` for each batch of CHUNK_ENTRIES entries:
+    ``(w, phases)`` is :func:`_scattered` at the array slice ``ks[part]``.
+    Every bond matrix on the energy axis is formed here."""
+    size = gbc.n + 2 * gbc.m
     step = max(1, CHUNK_ENTRIES // max(1, size * size))
     for start in range(0, len(ks), step):
         part = slice(start, start + step)
-        w, phases = _scattered(gbc, ks[part])
-        yield part, w, phases, _sigma_min(np.linalg.svd(w[:, n:, n:], compute_uv=False))
+        yield (part, *_scattered(gbc, ks[part]))
+
+
+def _inverse_bounds(bond: np.ndarray) -> np.ndarray:
+    """``1/||B^{-1}||_F`` for each matrix of a ``(G, d, d)`` stack, a lower
+    bound on ``sigma_min(B)``: 1 for ``d = 0``, 0 where the inverse is not
+    finite, and 0 for the whole stack when one member is exactly singular."""
+    if not bond.shape[-1]:
+        return np.ones(len(bond))
+    # a nearly singular B has an inverse whose squares overflow: the bound
+    # then reads 0 and the energy goes to the SVD
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            inverse = np.linalg.inv(bond)
+        except np.linalg.LinAlgError:
+            return np.zeros(len(bond))
+        flat = inverse.view(float)
+        bound = 1.0 / np.sqrt(np.einsum("gij,gij->g", flat, flat))
+    return np.where(np.isfinite(bound), bound, 0.0)
 
 
 def build_xyz(gbc: GlobalBC, energy: float):
@@ -247,10 +268,11 @@ def build_xyz(gbc: GlobalBC, energy: float):
     return x, y, gbc.bc.A @ x + 1j * k * gbc.bc.B @ y
 
 
-def _minimum_norm_solve(bond: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
-    """The least-norm solution of ``bond @ y = rhs`` with the singular values
-    below ``tol`` taken as zeros."""
-    u, sigma, vh = np.linalg.svd(bond)
+def _minimum_norm_solve(bond: np.ndarray, rhs: np.ndarray, u: np.ndarray,
+                        sigma: np.ndarray, vh: np.ndarray, tol: float) -> np.ndarray:
+    """The least-norm solution of ``bond @ y = rhs`` from the SVD
+    ``bond = u diag(sigma) vh``, with the singular values below ``tol`` taken
+    as zeros."""
     keep = sigma >= tol
     y = vh[keep].conj().T @ ((u[:, keep].conj().T @ rhs) / sigma[keep, None])
     residual = numkernel.spectral_norm(bond @ y - rhs)
@@ -260,23 +282,32 @@ def _minimum_norm_solve(bond: np.ndarray, rhs: np.ndarray, tol: float) -> np.nda
 
 
 def _solve_batch(gbc: GlobalBC, energies: np.ndarray, w: np.ndarray,
-                 phases: np.ndarray, bottom: np.ndarray, tol: float) -> list:
+                 phases: np.ndarray, tol: float) -> list:
     """Results at checked energies of an admissible ``gbc`` with external lines,
-    from one batch of :func:`_decompositions`; an :class:`InconsistentSystem`
-    instance stands for a refused minimum-norm solve."""
+    from one batch of :func:`_batches`; an :class:`InconsistentSystem`
+    instance stands for a refused minimum-norm solve.
+
+    An energy whose :func:`_inverse_bounds` reaches ``tol`` is regular without
+    an SVD.  Every other one takes a full SVD of ``B``: its ``sigma_min(B)``
+    decides, and on a singular energy it gives the minimum-norm solve too.
+    The regular energies are solved together by LU."""
     n, m = gbc.n, gbc.m
     bond, rhs = w[:, n:, n:], w[:, n:, :n]
-    singular = bottom < tol
+    bound = _inverse_bounds(bond)
     y = np.zeros_like(rhs)
+    failed = {}
+    for i in np.flatnonzero(bound < tol):
+        u, sigma, vh = np.linalg.svd(bond[i])
+        bound[i] = _sigma_min(sigma)
+        if bound[i] < tol:
+            try:
+                y[i] = _minimum_norm_solve(bond[i], rhs[i], u, sigma, vh, tol)
+            except InconsistentSystem as exc:
+                failed[i] = exc
+    singular = bound < tol
     regular = np.flatnonzero(~singular)
     if regular.size:
         y[regular] = np.linalg.solve(bond[regular], rhs[regular])
-    failed = {}
-    for i in np.flatnonzero(singular):
-        try:
-            y[i] = _minimum_norm_solve(bond[i], rhs[i], tol)
-        except InconsistentSystem as exc:
-            failed[i] = exc
     s = w[:, :n, :n] - w[:, :n, n:] @ y
     defects = numkernel.unitarity_defects(s)
     for i in np.flatnonzero(singular & (defects > 1e-8)):
@@ -295,7 +326,7 @@ def _solve_batch(gbc: GlobalBC, energies: np.ndarray, w: np.ndarray,
             beta=beta[i],
             at_eigenvalue=bool(singular[i]),
             unitarity_defect=float(defects[i]),
-            sigma_ratio=float(bottom[i]),
+            sigma_min_bound=float(bound[i]),
             solve_path=MINIMUM_NORM if singular[i] else REGULAR,
         ))
     return results
@@ -303,6 +334,13 @@ def _solve_batch(gbc: GlobalBC, energies: np.ndarray, w: np.ndarray,
 
 def solve_many(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL) -> list:
     """:func:`solve_scattering` at every energy of a grid, batched over energies.
+
+    Each batch of bond matrices is inverted once: an energy with
+    ``1/||B^{-1}||_F >= tol`` is certified regular, since that bound never
+    exceeds ``sigma_min(B)``, and the certified energies are solved together
+    by LU.  Only the other energies take a full SVD of ``B``, which both
+    decides ``sigma_min(B) < tol`` and gives the minimum-norm solve, so the
+    ``at_eigenvalue`` flags are those of an SVD at every energy.
 
     Returns, in grid order, a :class:`ScatteringResult` per energy or, where
     the solve failed, the exception :func:`solve_scattering` raises there
@@ -331,8 +369,8 @@ def solve_many(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL) -> list:
         checked.append(energy)
         index.append(i)
     checked = np.array(checked, dtype=float)
-    for part, w, phases, bottom in _decompositions(gbc, np.sqrt(checked)):
-        batch = _solve_batch(gbc, checked[part], w, phases, bottom, tol)
+    for part, w, phases in _batches(gbc, np.sqrt(checked)):
+        batch = _solve_batch(gbc, checked[part], w, phases, tol)
         for i, out in zip(index[part], batch):
             outcomes[i] = out
     return outcomes
@@ -348,7 +386,9 @@ def solve_scattering(gbc: GlobalBC, energy: float,
         tol: absolute singularity threshold on ``sigma_min(B)`` of the bond
             matrix, whose singular values lie in ``[0, 2]``; below it the
             system is solved for its minimum-norm solution and
-            ``at_eigenvalue`` is set.
+            ``at_eigenvalue`` is set.  The energy is certified regular
+            without an SVD when ``1/||B^{-1}||_F >= tol`` (see
+            :func:`solve_many`).
 
     Raises:
         NonpositiveEnergy, NoExternalLines, InvalidBoundaryCondition,
@@ -362,11 +402,13 @@ def solve_scattering(gbc: GlobalBC, energy: float,
 
 
 def _smallest_sigmas(gbc: GlobalBC, ks) -> np.ndarray:
-    """``sigma_min(B(k))`` for every k in ``ks``, in batches."""
+    """``sigma_min(B(k))`` for every k in ``ks``, from one values-only SVD
+    per batch."""
     ks = np.asarray(ks, dtype=float)
     bottom = np.empty(len(ks))
-    for part, _, _, sigma_min in _decompositions(gbc, ks):
-        bottom[part] = sigma_min
+    for part, w, _ in _batches(gbc, ks):
+        bond = w[:, gbc.n:, gbc.n:]
+        bottom[part] = _sigma_min(np.linalg.svd(bond, compute_uv=False))
     return bottom
 
 

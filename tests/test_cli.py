@@ -516,8 +516,11 @@ def test_compose_linalg_calls_do_not_grow_with_the_energies(monkeypatch, capsys)
     assert seen[0] == seen[1]
     # one stacked margin, two stacked solves for the products, one bond-matrix
     # solve per assembled graph (empty for the two sides without internal
-    # lines) and one vertex S-matrix solve per vertex size of each of them
+    # lines) and one vertex S-matrix solve per vertex size of each of them;
+    # one inverse for the glue and one certifying the ring's bond matrix (the
+    # two sides have none to certify)
     assert seen[0]["eigvals"] == 1 and seen[0]["solve"] == 2 + 3 + 3
+    assert seen[0]["inv"] == 1 + 1
 
 
 def test_selftest_passes_and_is_deterministic(capsys):

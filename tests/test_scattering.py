@@ -438,7 +438,7 @@ def test_batched_sweep_matches_per_energy_solves(monkeypatch):
                      scattering.REGULAR]
     for a, b in zip(batched, singles):
         assert a.energy == b.energy and a.at_eigenvalue == b.at_eigenvalue
-        assert (a.sigma_ratio < scattering.SINGULAR_TOL) == a.at_eigenvalue
+        assert (a.sigma_min_bound < scattering.SINGULAR_TOL) == a.at_eigenvalue
         for name in ("s", "alpha", "beta"):
             assert np.abs(getattr(a, name) - getattr(b, name)).max() <= 1e-14
         assert abs(a.unitarity_defect - b.unitarity_defect) <= 1e-14
@@ -537,7 +537,7 @@ def test_spectrum_window_excludes_left_edge_only():
 def test_solve_scattering_validates_never_and_decomposes_once(monkeypatch):
     gbc = assemble(_ring())
     counts = dict.fromkeys(("validate", "measure_admissibility"), 0)
-    svd_shapes, solve_shapes = [], []
+    svd_shapes, solve_shapes, inv_shapes = [], [], []
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -550,27 +550,102 @@ def test_solve_scattering_validates_never_and_decomposes_once(monkeypatch):
 
     counting(boundary, "validate")
     counting(boundary, "measure_admissibility")
-    svd, solve = np.linalg.svd, np.linalg.solve
+    svd, solve, inv = np.linalg.svd, np.linalg.solve, np.linalg.inv
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, *args, **kw: svd_shapes.append(np.shape(a))
                         or svd(a, *args, **kw))
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: solve_shapes.append((np.shape(a), np.shape(b)))
                         or solve(a, b))
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: inv_shapes.append(np.shape(a)) or inv(a))
     res = solve_scattering(gbc, 2.0)
     assert counts == {"validate": 0, "measure_admissibility": 0}
     # one solve for the two 3 x 3 vertex S-matrices, one of the 4 x 4 bond
     # matrix for the two channels
     assert solve_shapes == [((1, 2, 3, 3), (1, 2, 3, 3)), ((1, 4, 4), (1, 4, 2))]
-    # one decomposition of the bond matrix, one of the 2 x 2 S block's defect
-    assert svd_shapes == [(1, 4, 4), (1, 2, 2)]
+    # one inverse of the bond matrix certifies the energy regular; the only
+    # SVD is the 2 x 2 S block's defect
+    assert inv_shapes == [(1, 4, 4)]
+    assert svd_shapes == [(1, 2, 2)]
     assert res.solve_path == scattering.REGULAR
-    # sigma_min of B = I - diag(K, K) J T, with the kirchhoff block K on the
-    # two internal ends of each vertex
+    # B = I - diag(K, K) J T, with the kirchhoff block K on the two internal
+    # ends of each vertex: the bound is 1/||B^{-1}||_F, below sigma_min(B)
     k_block = 2.0 / 3.0 * np.ones((2, 2)) - np.eye(2)
     jt = np.kron([[0, 1], [1, 0]], np.exp(1j * np.sqrt(2.0)) * np.eye(2))
     bond = np.eye(4) - np.kron(np.eye(2), k_block) @ jt
-    assert res.sigma_ratio == pytest.approx(svd(bond, compute_uv=False)[-1], rel=1e-13)
+    assert res.sigma_min_bound == pytest.approx(
+        1.0 / np.linalg.norm(inv(bond), "fro"), rel=1e-13)
+    assert res.sigma_min_bound <= svd(bond, compute_uv=False)[-1]
+
+
+def _delta_chain(junctions, rng):
+    """External ``l`` - delta - e0 - delta - ... - delta - external ``r``, with
+    lengths in [0.5, 1.5] and strengths in [-1, 1]."""
+    internals = tuple((f"e{j}", float(a))
+                      for j, a in enumerate(rng.uniform(0.5, 1.5, junctions - 1)))
+    vertices = []
+    for j in range(junctions):
+        left = ext_ref("l") if j == 0 else int_ref(f"e{j - 1}", "a")
+        right = ext_ref("r") if j == junctions - 1 else int_ref(f"e{j}", "0")
+        vertices.append(Vertex((left, right), delta_coupling(float(rng.uniform(-1, 1)))))
+    return MetricGraph(("l", "r"), internals, tuple(vertices))
+
+
+def test_the_inverse_bound_never_exceeds_sigma_min():
+    rng = np.random.default_rng(11)
+    gbcs = list(_fixture_gbcs())
+    gbcs += [assemble(selftest._random_graph(rng)[0]) for _ in range(20)]
+    gbcs.append(assemble(_delta_chain(200, rng)))
+    tol = scattering.SINGULAR_TOL
+    for gbc in gbcs:
+        # the ring's two eigenvalues put minimum-norm rows among the regular ones
+        energies = np.concatenate([rng.uniform(0.3, 200.0, size=5),
+                                   [np.pi ** 2, (2 * np.pi) ** 2]])
+        bonds = scattering._scattered(gbc, np.sqrt(energies))[0][:, gbc.n:, gbc.n:]
+        for res, bond in zip(scattering.solve_many(gbc, energies), bonds):
+            sigma_min = np.linalg.svd(bond)[1][-1] if gbc.m else 1.0
+            assert res.sigma_min_bound <= sigma_min
+            assert res.at_eigenvalue == (sigma_min < tol)
+            assert res.solve_path == (scattering.MINIMUM_NORM if sigma_min < tol
+                                      else scattering.REGULAR)
+
+
+def test_a_failed_or_non_finite_inverse_leaves_the_results_unchanged(monkeypatch):
+    gbcs = [assemble(_ring()), assemble(_delta_chain(12, np.random.default_rng(13)))]
+    energies = [0.5, np.pi ** 2, 2.9, 8.8, (2 * np.pi) ** 2, 26.0]
+    expected = [scattering.solve_many(gbc, energies) for gbc in gbcs]
+    inv = np.linalg.inv
+
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    for patched in (singular, lambda a: np.full_like(inv(a), np.nan),
+                    lambda a: np.full_like(inv(a), np.inf)):
+        monkeypatch.setattr(np.linalg, "inv", patched)
+        for gbc, want in zip(gbcs, expected):
+            # every energy then goes to the SVD, which decides alike
+            for a, b in zip(scattering.solve_many(gbc, energies), want):
+                for name in ("s", "alpha", "beta"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+                assert (a.at_eigenvalue, a.solve_path, a.unitarity_defect) == \
+                    (b.at_eigenvalue, b.solve_path, b.unitarity_defect)
+                assert a.sigma_min_bound >= b.sigma_min_bound
+
+
+def test_regular_energies_of_a_long_chain_take_no_svd_of_the_bond_matrix(monkeypatch):
+    rng = np.random.default_rng(14)
+    gbc = assemble(_delta_chain(200, rng))
+    energies = rng.uniform(20.0, 400.0, size=4)
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: shapes.append(np.shape(a))
+                        or svd(a, *args, **kw))
+    results = scattering.solve_many(gbc, energies)
+    assert [r.solve_path for r in results] == [scattering.REGULAR] * 4
+    # one energy per batch at 2m = 398: the only SVD is the S block's defect
+    assert shapes == [(1, 2, 2)] * 4
 
 
 def test_transforms_inherit_admissibility(monkeypatch):
