@@ -92,7 +92,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if valid else EXIT_DOMAIN
 
 
-def _sweep_energies(args) -> list:
+def _sweep_energies(args) -> np.ndarray:
     if not (np.isfinite(args.emin) and np.isfinite(args.emax)) \
             or not 0 < args.emin <= args.emax:
         raise DocumentError(f"need 0 < emin <= emax, got ({args.emin}, {args.emax})")
@@ -101,45 +101,49 @@ def _sweep_energies(args) -> list:
             f"points must be at least 1 and at most {scattering.MAX_GRID_POINTS}, "
             f"got {args.points}")
     if args.uniform_e:
-        return [float(e) for e in np.linspace(args.emin, args.emax, args.points)]
+        return np.linspace(args.emin, args.emax, args.points)
     ks = np.linspace(np.sqrt(args.emin), np.sqrt(args.emax), args.points)
-    return [float(k * k) for k in ks]
+    return ks * ks
+
+
+def _s_cells(entries: list) -> list:
+    """The Re, Im, |.|^2 cells of S entries listed row-major.  ``abs(z) ** 2``
+    on Python complex values, not ``np.abs``, which rounds differently."""
+    return [x for z in entries for x in (z.real, z.imag, abs(z) ** 2)]
 
 
 def cmd_sweep(args) -> int:
     g = load_document(args.file).to_graph()
     gbc = graphmod.assemble(g)
-    energies = _sweep_energies(args)
-    outcomes = scattering.solve_many(gbc, energies, args.tol)
+    result = scattering.solve_many(gbc, _sweep_energies(args), args.tol)
 
     ids = g.externals
     columns = (["E", "k"] + [f"{part}_{out_id}_{in_id}" for out_id in ids for in_id in ids
                              for part in ("ReS", "ImS", "absS2")]
                + ["unitarity_defect", "at_eigenvalue", "status"])
-
-    rows = []
-    for e, res in zip(energies, outcomes):
-        row = [e, float(np.sqrt(e))]
-        if isinstance(res, Exception):
-            row += [None] * (3 * len(ids) ** 2 + 1) + [0, type(res).__name__]
-        else:
-            for s in res.s.ravel():     # row-major
-                row += [float(s.real), float(s.imag), float(abs(s) ** 2)]
-            row += [float(res.unitarity_defect),
-                    1 if res.at_eigenvalue else 0, "ok"]
-        rows.append(row)
+    # per energy: E, k, the S entries, the defect, the flag, the error or None
+    table = zip(result.energies.tolist(), np.sqrt(result.energies).tolist(),
+                result.s.reshape(len(result), -1).tolist(),
+                result.unitarity_defect.tolist(), result.at_eigenvalue.tolist(),
+                result.errors)
+    blank = 3 * len(ids) ** 2 + 1       # data cells of a failed row
 
     if args.json:
+        rows = [[e, k, *_s_cells(entries), defect, int(flag), "ok"] if error is None
+                else [e, k, *[None] * blank, 0, type(error).__name__]
+                for e, k, entries, defect, flag, error in table]
         payload = {"columns": columns, "rows": rows}
         _output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
+        # only the header can hold text that needs quoting (the external ids)
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["nan" if cell is None else
-                             (_fmt(cell) if isinstance(cell, float) else cell)
-                             for cell in row])
+        csv.writer(buf, lineterminator="\n").writerow(columns)
+        ok = "%.17g," * (blank + 2) + "%d,ok\n"
+        failed = "%.17g,%.17g," + "nan," * blank + "0,%s\n"
+        buf.write("".join(
+            ok % (e, k, *_s_cells(entries), defect, flag) if error is None
+            else failed % (e, k, type(error).__name__)
+            for e, k, entries, defect, flag, error in table))
         _output(buf.getvalue(), args.out)
     return EXIT_OK
 

@@ -186,6 +186,7 @@ class GlobalBC:
                 f"global condition has size {self.bc.dim}, expected "
                 f"{self.n + 2 * self.m}")
         object.__setattr__(self, "_admissibility", admissibility)
+        object.__setattr__(self, "_admissible", False)
         if blocks is None:
             blocks = ((np.arange(self.bc.dim)[None], self.bc.A[None], self.bc.B[None]),)
         object.__setattr__(self, "_blocks", tuple(blocks))
@@ -217,8 +218,11 @@ class GlobalBC:
 
     def require_admissible(self) -> None:
         """Raise :class:`~artifact.boundary.InvalidBoundaryCondition` unless
-        ``bc`` is admissible at ``boundary.DEFAULT_TOL``."""
-        self.admissibility_numbers().require(boundary.DEFAULT_TOL)
+        ``bc`` is admissible at ``boundary.DEFAULT_TOL``.  A passed check is
+        kept, so every later solve on the instance skips it."""
+        if not self._admissible:
+            self.admissibility_numbers().require(boundary.DEFAULT_TOL)
+            object.__setattr__(self, "_admissible", True)
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,18 @@ One function evaluates vertex S-matrices, for a stack of vertices and
 wavenumbers (:func:`smatrix_single_vertex` is its one-vertex case), and one
 generator forms ``B`` in batches along the energy axis.  :func:`solve_many`
 (behind :func:`sweep`, :func:`solve_scattering` and ``artifact sweep``)
-certifies each energy regular with one stacked inverse per batch, since
-``sigma_min(B) >= 1/||B^{-1}||_F`` for every invertible ``B``, solves the
-certified ones by LU and takes a full SVD only of the rest; every stage of
-:func:`spectrum` needs ``sigma_min(B)`` itself and reads it from a values-only
-SVD of each batch.
+checks the whole grid in one array pass, certifies each energy regular with
+one stacked inverse per batch, since ``sigma_min(B) >= 1/||B^{-1}||_F`` for
+every invertible ``B``, solves the certified ones by LU and takes a full SVD
+only of the rest.  It writes every batch into the columns of one
+:class:`ScatteringGrid` (``s`` is ``(G, n, n)``, and so on), whose
+one-energy view is :class:`ScatteringResult`.  Every stage of
+:func:`spectrum` needs ``sigma_min(B)`` itself and reads it from a
+values-only SVD of each batch.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,7 +111,8 @@ class InconsistentSystem(RuntimeError):
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Scattering data at one energy.
+    """Scattering data at one energy: the view of one energy of a
+    :class:`ScatteringGrid`.
 
     ``s`` is n x n; ``alpha``/``beta`` are m x n (column = incoming channel).
     ``at_eigenvalue`` marks energies where the bond matrix ``B(k)`` was
@@ -116,9 +121,9 @@ class ScatteringResult:
     ``sigma_min_bound`` is a lower bound on ``sigma_min(B)``, in ``[0, 2]``:
     ``1/||B^{-1}||_F`` where that bound alone certified the energy regular,
     ``sigma_min(B)`` itself where an SVD of ``B`` ran, and 1 for a graph
-    without internal lines, which has no ``B``.  ``solve_path`` says which
-    solve ran: :data:`REGULAR` (LU) or :data:`MINIMUM_NORM` (truncated SVD,
-    exactly when ``at_eigenvalue``).
+    without internal lines, which has no ``B``.  ``solve_path``, read from
+    ``at_eigenvalue``, says which solve ran: :data:`MINIMUM_NORM` (truncated
+    SVD) exactly when ``at_eigenvalue``, :data:`REGULAR` (LU) otherwise.
     """
 
     energy: float
@@ -128,7 +133,68 @@ class ScatteringResult:
     at_eigenvalue: bool
     unitarity_defect: float
     sigma_min_bound: float
-    solve_path: str
+
+    @property
+    def solve_path(self) -> str:
+        return MINIMUM_NORM if self.at_eigenvalue else REGULAR
+
+
+@dataclass
+class ScatteringGrid:
+    """Scattering data over an energy grid, stacked along the energy axis:
+    what :func:`solve_many` returns.
+
+    ``energies`` is ``(G,)``, ``s`` is ``(G, n, n)``, ``alpha``/``beta`` are
+    ``(G, m, n)``, and ``unitarity_defect``, ``sigma_min_bound`` and
+    ``at_eigenvalue`` are ``(G,)``, each entry with the meaning of the
+    :class:`ScatteringResult` field.  ``at_eigenvalue`` is read from
+    ``sigma_min_bound < tol``, the absolute threshold the grid was solved
+    at.  ``errors[i]`` is ``None`` where the i-th energy was solved and
+    otherwise the exception :func:`solve_scattering` raises there; the
+    arrays hold NaN (so ``at_eigenvalue`` is False) at such an energy.
+
+    ``len``, iteration and integer indexing give, per energy, the
+    :class:`ScatteringResult` view (its arrays are views of these) or the
+    stored exception.
+    """
+
+    energies: np.ndarray
+    s: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    unitarity_defect: np.ndarray
+    sigma_min_bound: np.ndarray
+    errors: list
+    tol: float
+
+    @property
+    def at_eigenvalue(self) -> np.ndarray:
+        return self.sigma_min_bound < self.tol
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i):
+        error = self.errors[operator.index(i)]
+        if error is not None:
+            return error
+        return ScatteringResult(
+            energy=float(self.energies[i]),
+            s=self.s[i],
+            alpha=self.alpha[i],
+            beta=self.beta[i],
+            at_eigenvalue=bool(self.sigma_min_bound[i] < self.tol),
+            unitarity_defect=float(self.unitarity_defect[i]),
+            sigma_min_bound=float(self.sigma_min_bound[i]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def _blank(self, rows) -> None:
+        """NaN in every array at the energies ``rows`` selects."""
+        self.s[rows] = self.alpha[rows] = self.beta[rows] = np.nan
+        self.unitarity_defect[rows] = self.sigma_min_bound[rows] = np.nan
 
 
 @dataclass(frozen=True)
@@ -144,19 +210,42 @@ class SpectrumResult:
     grid_points: int
 
 
-def _check_energy(energy: float) -> float:
+def _refusals(energies: np.ndarray, max_length: float) -> tuple[np.ndarray, list]:
+    """``(accepted, errors)`` for a ``(G,)`` grid of energies, in one array
+    pass: ``errors[i]`` is the exception refusing the i-th energy or ``None``,
+    and ``accepted`` is the boolean mask of the ``None`` slots.
+
+    An energy that is not finite and > 0 is a :class:`NonpositiveEnergy`; one
+    with ``k * max_length >= PHASE_BOUND`` is an :class:`InconsistentSystem`.
+    """
+    errors = [None] * len(energies)
+    positive = np.isfinite(energies) & (energies > 0.0)
+    reach = np.sqrt(np.where(positive, energies, 0.0)) * max_length
+    accepted = positive & (reach < PHASE_BOUND)
+    for i in (~accepted).nonzero()[0].tolist():
+        if positive[i]:
+            errors[i] = InconsistentSystem(
+                f"k * max(lengths) = {reach[i]:.3e} reaches 2**52: the bond "
+                f"phases exp(ika) carry no correct digit")
+        else:
+            errors[i] = NonpositiveEnergy(
+                f"energy must be finite and > 0, got {float(energies[i])!r}")
+    return accepted, errors
+
+
+def _check_energy(energy: float, max_length: float = 0.0) -> float:
+    """``energy`` as a float, or the exception :func:`_refusals` holds for it
+    raised."""
     energy = float(energy)
-    if not np.isfinite(energy) or energy <= 0.0:
-        raise NonpositiveEnergy(f"energy must be finite and > 0, got {energy!r}")
+    error = _refusals(np.array([energy]), max_length)[1][0]
+    if error is not None:
+        raise error
     return energy
 
 
-def _check_phase(gbc: GlobalBC, k: float) -> None:
-    """Raise :class:`InconsistentSystem` when ``k`` is beyond :data:`PHASE_BOUND`."""
-    if gbc.m and k * max(gbc.lengths) >= PHASE_BOUND:
-        raise InconsistentSystem(
-            f"k * max(lengths) = {k * max(gbc.lengths):.3e} reaches 2**52: the "
-            f"bond phases exp(ika) carry no correct digit")
+def _max_length(gbc: GlobalBC) -> float:
+    """The longest internal line, 0 without internal lines (no phase to lose)."""
+    return max(gbc.lengths, default=0.0)
 
 
 def _vertex_smatrices(a_blocks: np.ndarray, b_blocks: np.ndarray, ks) -> np.ndarray:
@@ -198,10 +287,9 @@ def _scattered(gbc: GlobalBC, ks) -> tuple[np.ndarray, np.ndarray]:
         w[:, cols[:, :, None], swap[cols][:, None, :]] = \
             _vertex_smatrices(a_blocks, b_blocks, ks)
     phases = np.exp(1j * (ks[:, None] * np.asarray(gbc.lengths)))
-    for ends in (slice(n, n + m), slice(n + m, size)):
-        w[:, :, ends] *= -phases[:, None, :]
-    inner = np.arange(n, size)
-    w[:, inner, inner] += 1.0
+    # both ends of every line, then the internal diagonal as a strided view
+    w[:, :, n:] *= -np.concatenate([phases, phases], axis=1)[:, None, :]
+    w.reshape(len(ks), -1)[:, n * (size + 1)::size + 1] += 1.0
     return w, phases
 
 
@@ -281,11 +369,11 @@ def _minimum_norm_solve(bond: np.ndarray, rhs: np.ndarray, u: np.ndarray,
     return y
 
 
-def _solve_batch(gbc: GlobalBC, energies: np.ndarray, w: np.ndarray,
-                 phases: np.ndarray, tol: float) -> list:
-    """Results at checked energies of an admissible ``gbc`` with external lines,
-    from one batch of :func:`_batches`; an :class:`InconsistentSystem`
-    instance stands for a refused minimum-norm solve.
+def _solve_batch(gbc: GlobalBC, w: np.ndarray, phases: np.ndarray, tol: float,
+                 grid: ScatteringGrid, rows: np.ndarray) -> None:
+    """Solve one batch of :func:`_batches` for an admissible ``gbc`` with
+    external lines and write it into the ``rows`` of ``grid``; a refused
+    minimum-norm solve leaves an :class:`InconsistentSystem` in its slot.
 
     An energy whose :func:`_inverse_bounds` reaches ``tol`` is regular without
     an SVD.  Every other one takes a full SVD of ``B``: its ``sigma_min(B)``
@@ -296,7 +384,7 @@ def _solve_batch(gbc: GlobalBC, energies: np.ndarray, w: np.ndarray,
     bound = _inverse_bounds(bond)
     y = np.zeros_like(rhs)
     failed = {}
-    for i in np.flatnonzero(bound < tol):
+    for i in (bound < tol).nonzero()[0]:
         u, sigma, vh = np.linalg.svd(bond[i])
         bound[i] = _sigma_min(sigma)
         if bound[i] < tol:
@@ -305,80 +393,77 @@ def _solve_batch(gbc: GlobalBC, energies: np.ndarray, w: np.ndarray,
             except InconsistentSystem as exc:
                 failed[i] = exc
     singular = bound < tol
-    regular = np.flatnonzero(~singular)
-    if regular.size:
-        y[regular] = np.linalg.solve(bond[regular], rhs[regular])
+    regular = ~singular
+    y[regular] = np.linalg.solve(bond[regular], rhs[regular])
     s = w[:, :n, :n] - w[:, :n, n:] @ y
     defects = numkernel.unitarity_defects(s)
-    for i in np.flatnonzero(singular & (defects > 1e-8)):
+    for i in (singular & (defects > 1e-8)).nonzero()[0]:
         failed.setdefault(i, InconsistentSystem(
             f"minimum-norm solve gave an S block with unitarity defect {defects[i]:.3e}"))
-    beta = phases[:, :, None] * y[:, m:]
-    results = []
-    for i, energy in enumerate(energies):
-        if i in failed:
-            results.append(failed[i])
-            continue
-        results.append(ScatteringResult(
-            energy=float(energy),
-            s=s[i],
-            alpha=y[i, :m],
-            beta=beta[i],
-            at_eigenvalue=bool(singular[i]),
-            unitarity_defect=float(defects[i]),
-            sigma_min_bound=float(bound[i]),
-            solve_path=MINIMUM_NORM if singular[i] else REGULAR,
-        ))
-    return results
+    grid.s[rows] = s
+    grid.alpha[rows] = y[:, :m]
+    grid.beta[rows] = phases[:, :, None] * y[:, m:]
+    grid.unitarity_defect[rows] = defects
+    grid.sigma_min_bound[rows] = bound
+    if failed:
+        for i, exc in failed.items():
+            grid.errors[rows[i]] = exc
+        grid._blank(rows[list(failed)])
 
 
-def solve_many(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL) -> list:
+def solve_many(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL) -> ScatteringGrid:
     """:func:`solve_scattering` at every energy of a grid, batched over energies.
 
-    Each batch of bond matrices is inverted once: an energy with
-    ``1/||B^{-1}||_F >= tol`` is certified regular, since that bound never
-    exceeds ``sigma_min(B)``, and the certified energies are solved together
-    by LU.  Only the other energies take a full SVD of ``B``, which both
-    decides ``sigma_min(B) < tol`` and gives the minimum-norm solve, so the
-    ``at_eigenvalue`` flags are those of an SVD at every energy.
+    The grid is checked in one array pass.  Each batch of bond matrices is
+    then inverted once: an energy with ``1/||B^{-1}||_F >= tol`` is certified
+    regular, since that bound never exceeds ``sigma_min(B)``, and the
+    certified energies are solved together by LU.  Only the other energies
+    take a full SVD of ``B``, which both decides ``sigma_min(B) < tol`` and
+    gives the minimum-norm solve, so the ``at_eigenvalue`` flags are those of
+    an SVD at every energy.  Each batch is written into the columns of one
+    :class:`ScatteringGrid`; no per-energy object is built.
 
-    Returns, in grid order, a :class:`ScatteringResult` per energy or, where
-    the solve failed, the exception :func:`solve_scattering` raises there
-    (``NonpositiveEnergy``, ``InvalidBoundaryCondition`` or
-    ``InconsistentSystem``).
+    Returns:
+        the :class:`ScatteringGrid` of the energies, in grid order.  Where an
+        energy failed, its ``errors`` slot holds the exception
+        :func:`solve_scattering` raises there (``NonpositiveEnergy``,
+        ``InvalidBoundaryCondition`` or ``InconsistentSystem``).
 
     Raises:
         NoExternalLines: when ``gbc`` has no external lines.
     """
     if gbc.n == 0:
         raise NoExternalLines("graph has no external lines to scatter on")
-    grid = list(energies)
+    energies = np.array(energies, dtype=float)
+    accepted, errors = _refusals(energies, _max_length(gbc))
+    g, n, m = len(energies), gbc.n, gbc.m
+    grid = ScatteringGrid(
+        energies=energies,
+        s=np.empty((g, n, n), dtype=complex),
+        alpha=np.empty((g, m, n), dtype=complex),
+        beta=np.empty((g, m, n), dtype=complex),
+        unitarity_defect=np.empty(g),
+        sigma_min_bound=np.empty(g),
+        errors=errors,
+        tol=tol,
+    )
     try:
         gbc.require_admissible()
     except InvalidBoundaryCondition as exc:
-        return [exc] * len(grid)
-    outcomes: list = [None] * len(grid)
-    index, checked = [], []
-    for i, e in enumerate(grid):
-        try:
-            energy = _check_energy(e)
-            _check_phase(gbc, np.sqrt(energy))
-        except (NonpositiveEnergy, InconsistentSystem) as exc:
-            outcomes[i] = exc
-            continue
-        checked.append(energy)
-        index.append(i)
-    checked = np.array(checked, dtype=float)
-    for part, w, phases in _batches(gbc, np.sqrt(checked)):
-        batch = _solve_batch(gbc, checked[part], w, phases, tol)
-        for i, out in zip(index[part], batch):
-            outcomes[i] = out
-    return outcomes
+        errors[:] = [exc if e is None else e for e in errors]
+        accepted[:] = False
+    rows = accepted.nonzero()[0]
+    if len(rows) < g:
+        grid._blank(~accepted)
+    for part, w, phases in _batches(gbc, np.sqrt(energies[rows])):
+        _solve_batch(gbc, w, phases, tol, grid, rows[part])
+    return grid
 
 
 def solve_scattering(gbc: GlobalBC, energy: float,
                      tol: float = SINGULAR_TOL) -> ScatteringResult:
-    """Solve for the S-matrix and interior amplitudes at one energy.
+    """Solve for the S-matrix and interior amplitudes at one energy: the one
+    energy of a :func:`solve_many` grid.
 
     Args:
         gbc: assembled global boundary condition (must be admissible).
@@ -394,8 +479,7 @@ def solve_scattering(gbc: GlobalBC, energy: float,
         NonpositiveEnergy, NoExternalLines, InvalidBoundaryCondition,
         InconsistentSystem (also beyond :data:`PHASE_BOUND`).
     """
-    energy = _check_energy(energy)
-    (outcome,) = solve_many(gbc, [energy], tol)
+    outcome = solve_many(gbc, [energy], tol)[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -462,8 +546,8 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
         # no internal lines: no bond matrix, no embedded eigenvalue
         return SpectrumResult((), (), (float(e_min), float(e_max)), 0)
 
+    _check_energy(e_max, _max_length(gbc))
     k_lo, k_hi = np.sqrt(e_min), np.sqrt(e_max)
-    _check_phase(gbc, k_hi)
     if grid is None:
         grid = max(200.0, np.ceil(GRID_DENSITY * max(gbc.lengths) * (k_hi - k_lo)))
     if not 3 <= grid <= MAX_GRID_POINTS:
@@ -514,10 +598,9 @@ def eigenfunction(gbc: GlobalBC, energy: float, tol: float = SINGULAR_TOL):
         NotAnEigenvalue: when ``B`` has no singular value below ``tol``.
         InconsistentSystem: beyond :data:`PHASE_BOUND`.
     """
-    energy = _check_energy(energy)
+    energy = _check_energy(energy, _max_length(gbc))
     gbc.require_admissible()
     k = np.sqrt(energy)
-    _check_phase(gbc, k)
     n, m = gbc.n, gbc.m
     w, phases = _scattered(gbc, [k])
     _, sigma, vh = np.linalg.svd(w[0, n:, n:])
@@ -634,19 +717,18 @@ def sweep(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL):
     """Scattering results over an energy grid, plus transmission probabilities.
 
     Args:
-        energies: iterable of energies, each > 0.
+        energies: sequence of energies, each > 0.
 
     Returns:
-        ``(results, probabilities)`` where ``probabilities[i, j, k]`` is
-        ``|S_jk|^2`` at the i-th energy.
+        ``(results, probabilities)``: the :class:`ScatteringGrid` of
+        :func:`solve_many` and the ``(G, n, n)`` array of ``|S_jk|^2``, taken
+        in one call on ``results.s``.
 
     Raises:
         the first error :func:`solve_scattering` raises on the grid.
     """
-    results = solve_many(gbc, energies, tol)
-    for r in results:
-        if isinstance(r, Exception):
-            raise r
-    probabilities = np.stack([np.abs(r.s) ** 2 for r in results]) if results \
-        else np.zeros((0, gbc.n, gbc.n))
-    return results, probabilities
+    result = solve_many(gbc, energies, tol)
+    for error in result.errors:
+        if error is not None:
+            raise error
+    return result, np.abs(result.s) ** 2

@@ -372,24 +372,22 @@ def factorize_many(g: MetricGraph, edge_ids, energies,
 
     # every energy before the first side error composes; that error is
     # raised once the energies before it have raised theirs
-    sides = list(zip(res_left, res_right))
-    solved = next((i for i, pair in enumerate(sides)
-                   if any(isinstance(res, Exception) for res in pair)), len(grid))
-    outcomes = _compose_many(
-        np.stack([sl.s for sl, _ in sides[:solved]]),
-        np.stack([sr.s for _, sr in sides[:solved]]),
-        cutmap, grid[:solved], tol) if solved else []
+    side_errors = list(zip(res_left.errors, res_right.errors))
+    solved = next((i for i, pair in enumerate(side_errors) if pair != (None, None)),
+                  len(grid))
+    outcomes = _compose_many(res_left.s[:solved], res_right.s[:solved],
+                             cutmap, grid[:solved], tol) if solved else []
     composed = []
     for i, out in enumerate(outcomes):
         if isinstance(out, ConditionAViolated):
             continue
         if isinstance(out, Exception):
             raise out
-        if isinstance(res_direct[i], Exception):
-            raise res_direct[i]
+        if res_direct.errors[i] is not None:
+            raise res_direct.errors[i]
         composed.append(i)
     if solved < len(grid):
-        raise next(res for res in sides[solved] if isinstance(res, Exception))
+        raise next(exc for exc in side_errors[solved] if exc is not None)
     if composed:
         cut_left = {pair[0] for pair in cutmap.pairs}
         cut_right = {pair[1] for pair in cutmap.pairs}
@@ -397,8 +395,8 @@ def factorize_many(g: MetricGraph, edge_ids, energies,
                         + [e for e in cutmap.right_externals if e not in cut_right])
         perm = np.array(_permutation(composed_ids, list(g.externals)))
         s_composed = np.stack([outcomes[i] for i in composed])[:, perm[:, None], perm]
-        s_direct = [res_direct[i].s for i in composed]
-        defects = numkernel.spectral_norms(s_composed - np.stack(s_direct))
+        s_direct = res_direct.s[composed]
+        defects = numkernel.spectral_norms(s_composed - s_direct)
         for i, sc, sd, defect in zip(composed, s_composed, s_direct, defects.tolist()):
             outcomes[i] = (sc, sd, defect)
     return outcomes

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import boundary, scattering, selftest
+from artifact import boundary, cli, scattering, selftest
 from artifact import graph as graphmod
 from artifact.cli import DocumentError, GraphDocument, loads_document, main
 
@@ -350,6 +352,92 @@ def test_sweep_json_payload(capsys):
     col = payload["columns"].index("absS2_l1_l2")
     for row in payload["rows"]:
         assert abs(row[col] - 1.0) < 1e-12
+
+
+def _reference_sweep(path, emin, emax, points, uniform_e, as_json):
+    """``artifact sweep`` output as the per-cell formatter wrote it, kept as
+    the reference: energies in a Python list, one result per energy, and
+    every float cell through ``csv.writer`` and ``f"{x:.17g}"``, or into a
+    JSON row built cell by cell."""
+    g = cli.load_document(path).to_graph()
+    gbc = graphmod.assemble(g)
+    if uniform_e:
+        energies = [float(e) for e in np.linspace(emin, emax, points)]
+    else:
+        ks = np.linspace(np.sqrt(emin), np.sqrt(emax), points)
+        energies = [float(k * k) for k in ks]
+    ids = g.externals
+    columns = (["E", "k"] + [f"{part}_{out_id}_{in_id}" for out_id in ids for in_id in ids
+                             for part in ("ReS", "ImS", "absS2")]
+               + ["unitarity_defect", "at_eigenvalue", "status"])
+    rows = []
+    for e, res in zip(energies, scattering.solve_many(gbc, energies)):
+        row = [e, float(np.sqrt(e))]
+        if isinstance(res, Exception):
+            row += [None] * (3 * len(ids) ** 2 + 1) + [0, type(res).__name__]
+        else:
+            for s in res.s.ravel():
+                row += [float(s.real), float(s.imag), float(abs(s) ** 2)]
+            row += [float(res.unitarity_defect), 1 if res.at_eigenvalue else 0, "ok"]
+        rows.append(row)
+    if as_json:
+        return json.dumps({"columns": columns, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["nan" if cell is None else
+                         (f"{float(cell):.17g}" if isinstance(cell, float) else cell)
+                         for cell in row])
+    return buf.getvalue()
+
+
+_SWEEP_CASES = (
+    [("ring.json", 0.55, 400.0, 500, False),
+     # the ring's second eigenvalue: an at_eigenvalue row
+     ("ring.json", (2 * np.pi) ** 2, (2 * np.pi) ** 2, 1, False),
+     ("free_two_line.json", 1.0, 90.0, 60, True),
+     # k a reaches 2**52 at E = 2**104: InconsistentSystem rows of nan cells
+     ("ring.json", 1e20, 1e35, 40, False),
+     ("ring.json", 1e20, 1e35, 40, True),
+     ("chain200", 20.0, 400.0, 6, False)]
+    + [(name, 0.3, 200.0, 150, False) for name in FIXTURES if name != "closed_ring.json"])
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("name, emin, emax, points, uniform_e", _SWEEP_CASES)
+def test_sweep_output_is_byte_identical_to_the_per_cell_formatter(
+        tmp_path, capsys, name, emin, emax, points, uniform_e, as_json):
+    if name == "chain200":
+        path = _write(tmp_path, _chain_doc(200, np.random.default_rng(12)))
+    else:
+        path = _fixture_path(name)
+    out = tmp_path / "sweep.out"
+    argv = ["sweep", path, "--emin", repr(emin), "--emax", repr(emax),
+            "--points", str(points), "--out", str(out)]
+    argv += ["--uniform-e"] * uniform_e + ["--json"] * as_json
+    assert main(argv) == 0
+    capsys.readouterr()
+    expected = _reference_sweep(path, emin, emax, points, uniform_e, as_json)
+    assert out.read_bytes() == expected.encode("utf-8")
+    if emax == 1e35:
+        assert "InconsistentSystem" in expected
+
+
+def test_sweep_abs_squared_cells_are_python_abs_squared():
+    # |S|^2 cells must keep the digits of abs(z) ** 2 on each complex value;
+    # np.abs rounds differently in the last bit on many of these
+    rng = np.random.default_rng(2012)
+    size = 200_000
+    z = (rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size)) \
+        * 10.0 ** rng.uniform(-150.0, 0.0, size)
+    z[:4] = [0.0, -0.0, 1j, -1.0]
+    cells = np.array(cli._s_cells(z.tolist())).reshape(size, 3)
+    assert np.array_equal(cells[:, 0], z.real) and np.array_equal(cells[:, 1], z.imag)
+    python = np.array([abs(complex(v)) ** 2 for v in z])
+    scalar = np.array([float(abs(v) ** 2) for v in z])      # numpy scalars
+    assert np.array_equal(cells[:, 2].view(np.uint64), python.view(np.uint64))
+    assert np.array_equal(cells[:, 2].view(np.uint64), scalar.view(np.uint64))
 
 
 def test_sweep_rejects_closed_graphs_and_bad_grids(capsys):

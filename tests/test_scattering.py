@@ -425,6 +425,57 @@ def test_directly_built_inadmissible_pair_is_refused(monkeypatch):
     assert len(measured) == 2
 
 
+def test_solve_many_returns_one_stacked_grid(monkeypatch):
+    gbc = assemble(_ring())
+    beyond = 2.0 ** 104
+    energies = [0.5, -1.0, np.pi ** 2, np.nan, beyond, 3.0, (2 * np.pi) ** 2]
+    grid = scattering.solve_many(gbc, energies)
+    assert isinstance(grid, scattering.ScatteringGrid) and len(grid) == 7
+    assert grid.s.shape == (7, 2, 2) and grid.alpha.shape == grid.beta.shape == (7, 2, 2)
+    refused = [1, 3, 4]
+    assert [type(e).__name__ for e in grid.errors] == [
+        "NoneType", "NonpositiveEnergy", "NoneType", "NonpositiveEnergy",
+        "InconsistentSystem", "NoneType", "NoneType"]
+    assert str(grid.errors[1]) == "energy must be finite and > 0, got -1.0"
+    assert str(grid.errors[3]) == "energy must be finite and > 0, got nan"
+    assert "reaches 2**52" in str(grid.errors[4])
+    for i in refused:
+        assert grid[i] is grid.errors[i]
+        assert np.isnan(grid.s[i]).all() and np.isnan(grid.beta[i]).all()
+        assert np.isnan([grid.unitarity_defect[i], grid.sigma_min_bound[i]]).all()
+    assert grid.at_eigenvalue.tolist() == [False, False, True, False, False, False, True]
+    # every view reads the columns, and equals the one-energy solve bit for bit
+    for i in (0, 2, 5, 6):
+        res, single = grid[i], solve_scattering(gbc, energies[i])
+        assert np.shares_memory(res.s, grid.s) and np.shares_memory(res.beta, grid.beta)
+        for name in ("s", "alpha", "beta"):
+            assert np.array_equal(getattr(res, name), getattr(single, name))
+        assert (res.energy, res.at_eigenvalue, res.solve_path, res.unitarity_defect,
+                res.sigma_min_bound) == (single.energy, single.at_eigenvalue,
+                                         single.solve_path, single.unitarity_defect,
+                                         single.sigma_min_bound)
+    assert [r.energy for r in grid if not isinstance(r, Exception)] == [
+        0.5, np.pi ** 2, 3.0, (2 * np.pi) ** 2]
+    with pytest.raises(TypeError):
+        grid[1:3]
+    # a refused minimum-norm solve leaves its exception and NaN in its own slot
+    refusal = scattering.InconsistentSystem("refused")
+
+    def refuse(*args):
+        raise refusal
+
+    monkeypatch.setattr(scattering, "_minimum_norm_solve", refuse)
+    failed = scattering.solve_many(gbc, energies)
+    assert failed[2] is refusal and failed[6] is refusal
+    assert np.isnan(failed.s[[2, 6]]).all() and not failed.at_eigenvalue.any()
+    assert np.array_equal(failed.s[[0, 5]], grid.s[[0, 5]])
+    # an inadmissible pair refuses every energy the grid check accepted
+    zero = GlobalBC(2, 2, (1.0, 1.0),
+                    BoundaryCondition(np.zeros((6, 6)), np.zeros((6, 6))))
+    names = [type(e).__name__ for e in scattering.solve_many(zero, [2.0, -1.0])]
+    assert names == ["InvalidBoundaryCondition", "NonpositiveEnergy"]
+
+
 def test_batched_sweep_matches_per_energy_solves(monkeypatch):
     gbc = assemble(_ring())
     energies = [0.5, np.pi ** 2, 2.9, 8.8, (2 * np.pi) ** 2, 26.0, 31.0]

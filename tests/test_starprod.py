@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dataclasses import replace
 from importlib import resources
 
 from artifact import numkernel, scattering, selftest, starprod
@@ -430,9 +429,10 @@ def test_factorize_many_raises_the_first_error_in_grid_order(monkeypatch):
             side = len(results)
             out = solve(gbc, energies)
             for (s, i), kind in scenario.items():
-                if s == side:
-                    out[i] = (scattering.InconsistentSystem(f"side {s}, energy {i}")
-                              if kind == "error" else replace(out[i], s=1.5 * out[i].s))
+                if s == side and kind == "error":
+                    out.errors[i] = scattering.InconsistentSystem(f"side {s}, energy {i}")
+                elif s == side:
+                    out.s[i] *= 1.5
             results.append(out)
             return out
 
