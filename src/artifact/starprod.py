@@ -321,7 +321,11 @@ def _compose_many(s_left, s_right, cutmap: CutMap, energies, tol: float) -> list
     perm_r = np.array(_permutation(cutmap.right_externals, cut_right + keep_right))
     sl = s_left[:, perm_l[:, None], perm_l]
     sr = s_right[:, perm_r[:, None], perm_r]
-    k = np.sqrt([scattering._check_energy(float(e)) for e in energies])
+    energies = np.array(energies, dtype=float)
+    for error in scattering._refusals(energies, 0.0)[1]:
+        if error is not None:
+            raise error
+    k = np.sqrt(energies)
     phases = np.exp(1j * k[:, None] * np.array([pair[2] for pair in pairs]))
     dress = np.concatenate([phases, np.ones((len(k), len(keep_right)))], axis=1)
     dressed = sr * dress[:, :, None] * dress[:, None, :]
