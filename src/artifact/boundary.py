@@ -6,10 +6,21 @@ vector of endpoint values and inward endpoint derivatives through
 operator exactly when ``(A, B)`` has maximal rank and ``A @ B^dagger`` is
 Hermitian; :func:`validate` measures both properties.
 
+An admissible pair has the unitary on-shell S-matrix
+``S(k) = -(A + ikB)^{-1} (A - ikB)``, and equivalent pairs ``(CA, CB)`` have
+the same one.  :func:`vertex_smatrices` is the one evaluation of it, for a
+stack of pairs and wavenumbers; the scattering solver, the unit-energy matrix
+``S(1)`` and :func:`von_neumann_parameter` all read it.  ``S(1)`` does not
+depend on the row operations or the scale of the pair, and it answers the
+structural questions: its Cayley pair ``(I - S(1), -i (I + S(1)))`` is the
+canonical representative of the class (:func:`canonicalize`), the condition
+is scale invariant when ``S(1)`` is Hermitian (:func:`scale_invariant`), and
+the nonzero pattern of ``S(1)`` gives the finest splitting into independent
+vertex blocks (:func:`localize`).
+
 The module also provides the standard named couplings, an equivalence test for
-pairs describing the same operator, the canonical (reduced row echelon)
-representative, the duality and reality transforms, and the finest splitting of
-a condition into independent vertex blocks.
+pairs describing the same operator (it answers for inadmissible pairs too),
+and the duality and reality transforms.
 """
 from __future__ import annotations
 
@@ -19,10 +30,6 @@ import numpy as np
 
 from . import numkernel
 from .numkernel import DEFAULT_TOL, as_complex_matrix
-
-# Entries below this absolute size are cleaned to zero in canonical forms
-# (rows are pivot-normalized first, so the scale is meaningful).
-CANONICAL_ZERO = 1e-12
 
 
 class DimensionMismatch(ValueError):
@@ -207,51 +214,35 @@ def require_valid(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> None:
     measure_admissibility(bc).require(tol)
 
 
-def _rref(m: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form with partial pivoting, natural column order."""
-    m = m.copy()
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        p = r + int(np.argmax(np.abs(m[r:, c])))
-        if abs(m[p, c]) <= pivot_tol:
-            continue
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        m[r] = m[r] / m[r, c]
-        for other in range(rows):
-            if other != r and m[other, c] != 0:
-                m[other] = m[other] - m[other, c] * m[r]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def vertex_smatrices(a_blocks: np.ndarray, b_blocks: np.ndarray, ks) -> np.ndarray:
+    """``S_v(k) = -(A_v + ikB_v)^{-1} (A_v - ikB_v)`` for every pair of a
+    ``(V, d, d)`` stack and every wavenumber of ``ks``, as a
+    ``(len(ks), V, d, d)`` stack from one batched LU solve: ``A + ikB`` is
+    invertible for every admissible pair and real ``k != 0``."""
+    ikb = 1j * np.asarray(ks, dtype=float)[:, None, None, None] * b_blocks
+    return -np.linalg.solve(a_blocks + ikb, a_blocks - ikb)
+
+
+def _unit_smatrix(bc: BoundaryCondition, tol: float) -> np.ndarray:
+    """``S(1)`` of ``bc``, after :func:`require_valid` at ``tol``."""
+    require_valid(bc, tol)
+    return vertex_smatrices(bc.A[None], bc.B[None], [1.0])[0, 0]
 
 
 def canonicalize(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> BoundaryCondition:
-    """Canonical representative of the equivalence class of ``bc``.
+    """Canonical representative of the equivalence class of ``bc``: the Cayley
+    pair ``(I - S(1), -i (I + S(1)))`` of its unit-energy S-matrix.
 
-    Computes the reduced row echelon form of the N x 2N block ``[A | B]``,
-    preferring pivots in the A columns left to right, then the B columns.  The
-    pivot columns of the result form an identity submatrix, entries below
-    ``1e-12`` are cleaned to exact zeros, and two equivalent conditions map to
-    the same representative.
+    Equivalent pairs have the same ``S(1)``, so they map to the same
+    representative up to rounding, and the Cayley pair has ``S(1)`` again:
+    Dirichlet maps to ``(2I, 0)`` and Neumann to ``(0, -2iI)``.
 
     Raises:
         InvalidBoundaryCondition: if ``bc`` is not admissible.
     """
-    require_valid(bc, tol)
-    n = bc.dim
-    stacked = np.hstack([bc.A, bc.B])
-    scale = np.abs(stacked).max()
-    reduced, pivots = _rref(stacked, pivot_tol=CANONICAL_ZERO * max(1.0, scale))
-    if len(pivots) != n:
-        raise InvalidBoundaryCondition(
-            f"found only {len(pivots)} pivots for a rank-{n} condition")
-    reduced[np.abs(reduced) < CANONICAL_ZERO] = 0.0
-    return BoundaryCondition(reduced[:, :n], reduced[:, n:])
+    s = _unit_smatrix(bc, tol)
+    eye = np.eye(bc.dim)
+    return BoundaryCondition(eye - s, -1j * (eye + s))
 
 
 def equivalent(bc1: BoundaryCondition, bc2: BoundaryCondition,
@@ -300,20 +291,14 @@ def is_real(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> bool:
 def scale_invariant(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> bool:
     """Whether the S-matrix of ``bc`` is independent of energy.
 
-    Holds exactly when ``A @ B^dagger == 0`` and every row of the canonical
-    representative constrains either only values or only derivatives.
+    ``S(k)`` is constant exactly when every eigenvalue of ``S(1)`` is ``+-1``,
+    that is when the unitary ``S(1)`` is Hermitian: ``||S(1) - S(1)^dagger||``
+    is at most ``tol``.
+
+    Raises:
+        InvalidBoundaryCondition: if ``bc`` is not admissible.
     """
-    prod_scale = max(
-        1.0, numkernel.spectral_norm(bc.A) * numkernel.spectral_norm(bc.B))
-    if numkernel.spectral_norm(bc.A @ bc.B.conj().T) > tol * prod_scale:
-        return False
-    canon = canonicalize(bc, tol)
-    for r in range(bc.dim):
-        touches_a = bool(np.any(canon.A[r] != 0))
-        touches_b = bool(np.any(canon.B[r] != 0))
-        if touches_a and touches_b:
-            return False
-    return True
+    return numkernel.hermiticity_defect(_unit_smatrix(bc, tol)) <= tol
 
 
 # --------------------------------------------------------------------------
@@ -443,28 +428,28 @@ def von_neumann_parameter(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> np
     ``-I``.
     """
     require_valid(bc, tol)
-    # The quotient is evaluated with both factors scaled by sqrt(2), which
-    # leaves it unchanged but makes the B coefficients exact in floating
-    # point (the named special cases then come out exact, not just close).
-    m = np.sqrt(2.0) * bc.A - (1.0 - 1.0j) * bc.B
-    n = np.sqrt(2.0) * bc.A - (1.0 + 1.0j) * bc.B
-    # m is sqrt(2) (A' + iB') for the shifted pair, which is admissible with
-    # bc, so m is invertible
-    s_one = -np.linalg.solve(m, n)
-    return s_one.conj().T
+    # the shifted pair scaled by sqrt(2), which leaves S unchanged but makes the
+    # B coefficients exact in floating point (the named special cases then come
+    # out exact, not just close); it is admissible with bc, so A' + iB' is
+    # invertible
+    shifted = np.sqrt(2.0) * bc.A - bc.B
+    return vertex_smatrices(shifted[None], bc.B[None], [1.0])[0, 0].conj().T
 
 
 def localize(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> VertexPartition:
     """Finest splitting of ``bc`` into independent endpoint blocks.
 
-    Two endpoints belong to the same block when some row of the canonical
-    representative touches both (in either the value or the derivative
-    column).  Endpoints untouched by every row become singleton blocks.
+    Two endpoints belong to the same block when they are connected through the
+    entries of ``S(1)`` above ``tol`` in modulus.  ``S(1)`` and the Cayley pair
+    of :func:`canonicalize` share their block structure, so these blocks are
+    the finest ones; an endpoint coupled to no other is a singleton block.
     Blocks are sorted by their smallest endpoint index.
+
+    Raises:
+        InvalidBoundaryCondition: if ``bc`` is not admissible.
     """
-    canon = canonicalize(bc, tol)
-    n = bc.dim
-    parent = list(range(n))
+    coupled = np.abs(_unit_smatrix(bc, tol)) > tol
+    parent = list(range(bc.dim))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -472,22 +457,12 @@ def localize(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> VertexPartition
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    touched = np.abs(canon.A) > 0
-    touched |= np.abs(canon.B) > 0
-    for r in range(n):
-        cols = np.flatnonzero(touched[r])
-        for c in cols[1:]:
-            union(int(cols[0]), int(c))
+    for r, c in zip(*np.nonzero(coupled)):
+        parent[find(int(c))] = find(int(r))
     groups: dict[int, list[int]] = {}
-    for j in range(n):
+    for j in range(bc.dim):
         groups.setdefault(find(j), []).append(j)
-    blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0])
-    return VertexPartition(tuple(blocks))
+    return VertexPartition(tuple(tuple(g) for g in sorted(groups.values())))
 
 
 def _check_size(n: int) -> None:

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import boundary, numkernel, scattering, selftest, starprod
+from . import boundary, scattering, selftest, starprod
 from . import graph as graphmod
 from .boundary import DimensionMismatch, InvalidBoundaryCondition, InvalidParameters
 from .document import DocumentError, GraphDocument, load_document, loads_document
@@ -287,11 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _INPUT_ERRORS = (DocumentError, graphmod.UnknownEdge, graphmod.NotACut,
                  scattering.BadWindow)
-_DOMAIN_ERRORS = (InvalidBoundaryCondition, numkernel.SingularMatrix,
-                  scattering.NonpositiveEnergy, scattering.NoExternalLines,
-                  scattering.NotAnEigenvalue, scattering.OutOfDomain,
-                  scattering.InconsistentSystem, starprod.ConditionAViolated,
-                  InvalidParameters, DimensionMismatch, graphmod.InvalidGraph)
+_DOMAIN_ERRORS = (InvalidBoundaryCondition, scattering.NonpositiveEnergy,
+                  scattering.NoExternalLines, scattering.NotAnEigenvalue,
+                  scattering.OutOfDomain, scattering.InconsistentSystem,
+                  starprod.ConditionAViolated, InvalidParameters, DimensionMismatch,
+                  graphmod.InvalidGraph)
 
 
 def main(argv=None) -> int:

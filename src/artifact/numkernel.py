@@ -1,29 +1,24 @@
 """Dense complex linear algebra primitives with explicit tolerance semantics.
 
-Guarded solves, the pseudoinverse, and rank and defect measurements of single
-matrices and stacks.  The tolerances here are relative to the largest
-singular value.  The batched paths of ``boundary``, ``scattering`` and
-``starprod`` call ``numpy.linalg`` themselves, and no library path calls
-:func:`solve_linear` or :func:`pseudoinverse`: the vertex S-matrices solve
-``A + ikB``, which is invertible for every admissible pair, by plain LU, and
-the scattering solver's bond matrix has its singular values in ``[0, 2]``, so
-its singularity test and minimum-norm solve take an absolute tolerance on
+Coercion and finiteness checks, spectral norms, unitarity and Hermiticity
+defects of single matrices and stacks, and two references: the determinant
+and the SVD-truncated pseudoinverse, whose tolerance is relative to the
+largest singular value.  No library path solves through this module: the
+batched paths of ``boundary``, ``scattering`` and ``starprod`` call
+``numpy.linalg`` themselves.  The vertex S-matrices solve ``A + ikB``, which
+is invertible for every admissible pair, by plain LU, and the scattering
+solver's bond matrix has its singular values in ``[0, 2]``, so its
+singularity test and minimum-norm solve take an absolute tolerance on
 ``sigma_min``.  Every entry point here coerces and checks its inputs via
 :func:`as_complex_matrix` (``complex128``).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 # Relative tolerance (against the largest singular value) used whenever a
 # caller does not override it.
 DEFAULT_TOL = 1e-10
-
-
-class SingularMatrix(ValueError):
-    """Raised when a linear solve meets an effectively singular matrix."""
 
 
 def as_complex_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -56,43 +51,6 @@ def spectral_norms(stack) -> np.ndarray:
     takes the same values-only SVD, without its axis bookkeeping.
     """
     return np.linalg.svd(stack, compute_uv=False).max(axis=-1, initial=0.0)
-
-
-def solve_linear(m, rhs, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Solve ``m @ x = rhs`` for a square, well-conditioned ``m``.
-
-    Args:
-        m: square coefficient matrix.
-        rhs: right-hand side; a vector or a matrix of stacked columns.
-        tol: relative singularity threshold; the solve is refused when
-            ``sigma_min < tol * sigma_max``.
-
-    Returns:
-        Solution array with the same trailing shape as ``rhs``.
-
-    Raises:
-        SingularMatrix: if ``m`` is singular at the given tolerance.
-    """
-    m = as_complex_matrix(m, "coefficient matrix")
-    rhs_arr = np.asarray(rhs, dtype=np.complex128)
-    vector_rhs = rhs_arr.ndim == 1
-    if vector_rhs:
-        rhs_arr = rhs_arr[:, None]
-    rhs_arr = as_complex_matrix(rhs_arr, "right-hand side")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"coefficient matrix must be square, got {m.shape}")
-    if rhs_arr.shape[0] != m.shape[0]:
-        raise ValueError(
-            f"right-hand side has {rhs_arr.shape[0]} rows, expected {m.shape[0]}")
-    if m.shape[0] == 0:
-        return rhs_arr[:0] if not vector_rhs else rhs_arr[:0, 0]
-    sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma[-1] < tol * sigma[0] or sigma[0] == 0.0:
-        raise SingularMatrix(
-            f"matrix is singular at relative tolerance {tol:g} "
-            f"(sigma_min={sigma[-1]:.3e}, sigma_max={sigma[0]:.3e})")
-    x = np.linalg.solve(m, rhs_arr)
-    return x[:, 0] if vector_rhs else x
 
 
 def determinant(m) -> complex:
@@ -151,40 +109,3 @@ def hermiticity_defect(m) -> float:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"hermiticity defect needs a square matrix, got {m.shape}")
     return spectral_norm(m - m.conj().T)
-
-
-def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values exceeding ``tol * sigma_max``.
-
-    The zero matrix has rank 0 by convention.
-    """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    m = as_complex_matrix(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
-
-
-@dataclass(frozen=True)
-class DefectReport:
-    """How far a square matrix is from unitary/Hermitian, plus its numeric rank."""
-
-    unitarity_defect: float
-    hermiticity_defect: float
-    rank: int
-    tolerance_used: float
-
-
-def defect_report(m, tol: float = DEFAULT_TOL) -> DefectReport:
-    """Bundle the standard defect measurements for a square matrix."""
-    m = as_complex_matrix(m)
-    return DefectReport(
-        unitarity_defect=unitarity_defect(m),
-        hermiticity_defect=hermiticity_defect(m),
-        rank=numeric_rank(m, tol),
-        tolerance_used=tol,
-    )

@@ -27,16 +27,17 @@ out (``S_V`` is unitary), so the S block stays unique there and
 ``Z(E) (S; alpha; beta) = -(A - ikB) (I; 0; 0)``, ``Z = A X + ik B Y``, as a
 reference.
 
-One function evaluates vertex S-matrices, for a stack of vertices and
-wavenumbers (:func:`smatrix_single_vertex` is its one-vertex case), and one
-generator forms ``B`` in batches along the energy axis.  :func:`solve_many`
-(behind :func:`sweep`, :func:`solve_scattering` and ``artifact sweep``)
-checks the whole grid in one array pass, certifies each energy regular with
-one stacked inverse per batch, since ``sigma_min(B) >= 1/||B^{-1}||_F`` for
-every invertible ``B``, solves the certified ones by LU and takes a full SVD
-only of the rest.  It writes every batch into the columns of one
-:class:`ScatteringGrid` (``s`` is ``(G, n, n)``, and so on), whose
-one-energy view is :class:`ScatteringResult`.  Every stage of
+:func:`boundary.vertex_smatrices` evaluates the vertex S-matrices, for a
+stack of vertices and wavenumbers (:func:`smatrix_single_vertex` is its
+one-vertex case), and one generator forms ``B`` in batches along the energy
+axis.  :func:`solve_many` (behind :func:`sweep`, :func:`solve_scattering`
+and ``artifact sweep``) checks the whole grid in one array pass, certifies
+each energy regular with one stacked inverse per batch, since
+``sigma_min(B) >= 1/||B^{-1}||_F`` for every invertible ``B``, solves the
+certified ones by LU and takes a full SVD only of the rest.  It writes every
+batch into the columns of one :class:`ScatteringGrid` (``s`` is
+``(G, n, n)``, and so on), whose one-energy view is
+:class:`ScatteringResult`.  Every stage of
 :func:`spectrum` needs ``sigma_min(B)`` itself and reads it from a
 values-only SVD of each batch.
 """
@@ -248,15 +249,6 @@ def _max_length(gbc: GlobalBC) -> float:
     return max(gbc.lengths, default=0.0)
 
 
-def _vertex_smatrices(a_blocks: np.ndarray, b_blocks: np.ndarray, ks) -> np.ndarray:
-    """``S_v(k) = -(A_v + ikB_v)^{-1} (A_v - ikB_v)`` for every pair of a
-    ``(V, d, d)`` stack and every wavenumber of ``ks``, as a
-    ``(len(ks), V, d, d)`` stack from one batched LU solve: ``A + ikB`` is
-    invertible for every admissible pair and real ``k != 0``."""
-    ikb = 1j * np.asarray(ks, dtype=float)[:, None, None, None] * b_blocks
-    return -np.linalg.solve(a_blocks + ikb, a_blocks - ikb)
-
-
 def smatrix_single_vertex(bc: BoundaryCondition, energy: float,
                           tol: float = boundary.DEFAULT_TOL) -> np.ndarray:
     """On-shell S-matrix of a single vertex with only external lines.
@@ -266,7 +258,7 @@ def smatrix_single_vertex(bc: BoundaryCondition, energy: float,
     """
     energy = _check_energy(energy)
     boundary.require_valid(bc, tol)
-    return _vertex_smatrices(bc.A[None], bc.B[None], [np.sqrt(energy)])[0, 0]
+    return boundary.vertex_smatrices(bc.A[None], bc.B[None], [np.sqrt(energy)])[0, 0]
 
 
 def _scattered(gbc: GlobalBC, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +277,7 @@ def _scattered(gbc: GlobalBC, ks) -> tuple[np.ndarray, np.ndarray]:
     w = np.zeros((len(ks), size, size), dtype=complex)
     for cols, a_blocks, b_blocks in gbc.vertex_blocks():
         w[:, cols[:, :, None], swap[cols][:, None, :]] = \
-            _vertex_smatrices(a_blocks, b_blocks, ks)
+            boundary.vertex_smatrices(a_blocks, b_blocks, ks)
     phases = np.exp(1j * (ks[:, None] * np.asarray(gbc.lengths)))
     # both ends of every line, then the internal diagonal as a strided view
     w[:, :, n:] *= -np.concatenate([phases, phases], axis=1)[:, None, :]

@@ -146,6 +146,14 @@ def test_canonicalize_idempotent_and_class_invariant():
         assert_allclose(canon.A, other.A, atol=1e-9)
         assert_allclose(canon.B, other.B, atol=1e-9)
         assert equivalent(bc, canon)
+    # the Cayley pair (I - S(1), -i (I + S(1))) of S(1) = -I and S(1) = I
+    for n in (1, 3, 5):
+        canon = canonicalize(dirichlet(n))
+        assert np.array_equal(canon.A, 2.0 * np.eye(n))
+        assert np.array_equal(canon.B, np.zeros((n, n)))
+        canon = canonicalize(neumann(n))
+        assert np.array_equal(canon.A, np.zeros((n, n)))
+        assert np.array_equal(canon.B, -2j * np.eye(n))
 
 
 def test_canonicalize_requires_admissible_input():
@@ -156,8 +164,10 @@ def test_canonicalize_requires_admissible_input():
 def test_dual_swaps_coefficient_ranks():
     bc = kirchhoff_standard(3)  # n=3 external lines, no intervals
     d = dual(bc, 3, 0)
-    assert numkernel.numeric_rank(d.A, 1e-10) == numkernel.numeric_rank(bc.B, 1e-10)
-    assert numkernel.numeric_rank(d.B, 1e-10) == numkernel.numeric_rank(bc.A, 1e-10)
+    assert (np.linalg.matrix_rank(d.A, rtol=1e-10)
+            == np.linalg.matrix_rank(bc.B, rtol=1e-10))
+    assert (np.linalg.matrix_rank(d.B, rtol=1e-10)
+            == np.linalg.matrix_rank(bc.A, rtol=1e-10))
     assert validate(d).ok
     # involution up to equivalence
     assert equivalent(dual(d, 3, 0), bc)
@@ -221,6 +231,36 @@ def test_scale_invariance_means_energy_independent_smatrix():
         assert numkernel.spectral_norm(s1 - s7) < 1e-10
     for bc in varying:
         assert not scale_invariant(bc)
+    # (C (I - P), C P) with P an orthogonal projector has S = 2P - I at every
+    # energy; a Haar pair (I - U, i (U + I)) has S(1) = U^dagger, not Hermitian
+    rng = np.random.default_rng(52)
+    for i in range(100):
+        n = 1 + i % 6
+        q = random_unitary(n, rng)[:, :int(rng.integers(0, n + 1))]
+        p = q @ q.conj().T
+        c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        bc = BoundaryCondition(c @ (np.eye(n) - p), c @ p)
+        assert scale_invariant(bc), i
+        assert not scale_invariant(random_bc(n, rng)), i
+
+
+def test_structure_ignores_a_uniform_scale_of_the_pair():
+    # equivalent pairs (cA, cB) of any size c > 0 get the answers of (A, B)
+    for bc, invariant, blocks in [
+            (delta_coupling(1.3), False, ((0, 1),)),
+            (kirchhoff_standard(3), True, ((0, 1, 2),)),
+            (dirichlet(2), True, ((0,), (1,)))]:
+        canon = canonicalize(bc)
+        assert scale_invariant(bc) == invariant
+        assert localize(bc).blocks == blocks
+        for scale in (1e-20, 1e-13, 1e8, 1e20):
+            scaled = BoundaryCondition(scale * bc.A, scale * bc.B)
+            assert validate(scaled).ok
+            assert scale_invariant(scaled) == invariant, scale
+            assert localize(scaled).blocks == blocks, scale
+            other = canonicalize(scaled)
+            assert_allclose(other.A, canon.A, atol=1e-14)
+            assert_allclose(other.B, canon.B, atol=1e-14)
 
 
 def test_random_bc_is_always_admissible():
@@ -261,6 +301,17 @@ def test_von_neumann_parameter_unitary_and_guarded():
         assert numkernel.unitarity_defect(w) < 1e-10
     with pytest.raises(InvalidBoundaryCondition):
         von_neumann_parameter(BoundaryCondition(np.zeros((2, 2)), np.zeros((2, 2))))
+
+
+def test_von_neumann_parameter_is_the_adjoint_unit_smatrix_of_the_shifted_pair():
+    rng = np.random.default_rng(207)
+    pairs = [dirichlet(3), neumann(2), robin(0.3), kirchhoff_standard(4),
+             delta_coupling(1.7, mu=0.4), delta_prime(-0.8), cyclic_coupling(0.4, 5)]
+    pairs += [random_bc(1 + i % 6, rng) for i in range(200)]
+    for bc in pairs:
+        a, b = bc.A - bc.B / np.sqrt(2.0), bc.B / np.sqrt(2.0)
+        s_one = -np.linalg.inv(a + 1j * b) @ (a - 1j * b)
+        assert np.abs(von_neumann_parameter(bc) - s_one.conj().T).max() <= 1e-14, bc
 
 
 def test_identity_minus_unitary_pair_reduces_to_neumann():

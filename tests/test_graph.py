@@ -337,6 +337,22 @@ def test_assembled_pair_equals_per_vertex_measurements():
             expected.hermiticity_defect, expected.norm_a, expected.norm_b)
 
 
+def test_localize_of_the_assembled_pair_joins_the_vertex_blocks():
+    fixtures = resources.files("artifact") / "fixtures"
+    graphs = [cli.load_document(str(path)).to_graph()
+              for path in sorted(fixtures.iterdir()) if path.name.endswith(".json")]
+    rng = np.random.default_rng(40)
+    graphs += [selftest._random_graph(rng)[0] for _ in range(40)]
+    for g in graphs:
+        gbc = assemble(g)
+        expected = []
+        for columns, a_blocks, b_blocks in gbc.vertex_blocks():
+            for cols, a, b in zip(columns, a_blocks, b_blocks):
+                for block in boundary.localize(BoundaryCondition(a, b)).blocks:
+                    expected.append(tuple(sorted(int(cols[j]) for j in block)))
+        assert boundary.localize(gbc.bc).blocks == tuple(sorted(expected)), g
+
+
 def test_assemble_names_the_first_inadmissible_vertex():
     # vertex 1 (size 1) and vertex 2 (size 2) both fail; the size-2 vertices
     # are measured first, yet the error names vertex 1

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from artifact import numkernel
-from artifact.numkernel import (SingularMatrix, as_complex_matrix, defect_report,
-                                determinant, numeric_rank, pseudoinverse,
-                                solve_linear, unitarity_defect)
+from artifact.numkernel import (as_complex_matrix, determinant, pseudoinverse,
+                                unitarity_defect)
 
 
 def _random_complex(rng, rows, cols):
@@ -30,32 +29,6 @@ def test_as_complex_matrix_coerces_and_checks():
         as_complex_matrix([[np.inf, 0], [0, 1]], "m")
     with pytest.raises(ValueError):
         as_complex_matrix([[np.nan, 0], [0, 1]], "m")
-
-
-def test_solve_linear_matches_direct_inverse():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        n = int(rng.integers(1, 8))
-        m = _random_complex(rng, n, n) + 3.0 * np.eye(n)
-        rhs = _random_complex(rng, n, int(rng.integers(1, 4)))
-        x = solve_linear(m, rhs)
-        assert_allclose(m @ x, rhs, atol=1e-10)
-
-
-def test_solve_linear_vector_rhs_keeps_shape():
-    x = solve_linear(np.eye(3) * 2.0, np.ones(3))
-    assert x.shape == (3,)
-    assert_allclose(x, 0.5 * np.ones(3))
-
-
-def test_solve_linear_rejects_singular_and_nonsquare():
-    with pytest.raises(SingularMatrix):
-        solve_linear(np.zeros((2, 2)), np.ones(2))
-    with pytest.raises(SingularMatrix):
-        # rank one
-        solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
-    with pytest.raises(ValueError):
-        solve_linear(np.ones((2, 3)), np.ones(2))
 
 
 def test_determinant_known_values():
@@ -98,24 +71,6 @@ def test_unitarity_defect():
     q, _ = np.linalg.qr(_random_complex(rng, 5, 5))
     assert unitarity_defect(q) < 1e-14
     assert_allclose(unitarity_defect(2.0 * np.eye(3)), 3.0)
-
-
-def test_numeric_rank():
-    rng = np.random.default_rng(9)
-    u = _random_complex(rng, 6, 3)
-    v = _random_complex(rng, 3, 6)
-    assert numeric_rank(u @ v, 1e-10) == 3
-    assert numeric_rank(np.zeros((4, 2)), 1e-10) == 0
-    assert numeric_rank(np.eye(5), 1e-10) == 5
-    with pytest.raises(ValueError):
-        numeric_rank(np.eye(2), 0.0)
-
-
-def test_defect_report_fields():
-    rep = defect_report(1j * np.eye(3))
-    assert rep.rank == 3
-    assert rep.unitarity_defect < 1e-15
-    assert rep.tolerance_used > 0
 
 
 def test_spectral_norms_equal_the_norm_reference():
