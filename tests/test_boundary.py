@@ -10,7 +10,7 @@ from artifact.boundary import (BoundaryCondition, DimensionMismatch,
                                is_real, kirchhoff_standard, localize, neumann,
                                random_bc, random_unitary, require_valid, robin,
                                scale_invariant, sl2_coupling, validate,
-                               von_neumann_parameter)
+                               vertex_smatrices, von_neumann_parameter)
 
 
 def test_construction_coerces_and_freezes():
@@ -261,6 +261,47 @@ def test_structure_ignores_a_uniform_scale_of_the_pair():
             other = canonicalize(scaled)
             assert_allclose(other.A, canon.A, atol=1e-14)
             assert_allclose(other.B, canon.B, atol=1e-14)
+
+
+def test_vertex_smatrices_stack_matches_the_explicit_inverse():
+    # one (K, V, n, n) stack: every entry is -(A + ikB)^{-1} (A - ikB) of its
+    # pair and wavenumber, unitary, and S(-k) is its adjoint
+    rng = np.random.default_rng(217)
+    ks = np.array([0.3, 1.0, 2.5, 40.0])
+    for n in (1, 2, 5):
+        pairs = [random_bc(n, rng) for _ in range(3)]
+        pairs += [delta_coupling(1.7, mu=0.4) if n == 2 else kirchhoff_standard(n)]
+        a_blocks = np.stack([bc.A for bc in pairs])
+        b_blocks = np.stack([bc.B for bc in pairs])
+        stack = vertex_smatrices(a_blocks, b_blocks, ks)
+        assert stack.shape == (len(ks), len(pairs), n, n)
+        backward = vertex_smatrices(a_blocks, b_blocks, -ks)
+        for i, k in enumerate(ks):
+            for v, bc in enumerate(pairs):
+                s = stack[i, v]
+                direct = -np.linalg.inv(bc.A + 1j * k * bc.B) @ (bc.A - 1j * k * bc.B)
+                assert_allclose(s, direct, atol=1e-12)
+                assert numkernel.unitarity_defect(s) < 1e-12
+                assert_allclose(backward[i, v], s.conj().T, atol=1e-12)
+    for n in (1, 3):
+        named = vertex_smatrices(np.stack([dirichlet(n).A, neumann(n).A]),
+                                 np.stack([dirichlet(n).B, neumann(n).B]), ks)
+        assert np.array_equal(named[:, 0], np.broadcast_to(-np.eye(n), (len(ks), n, n)))
+        assert np.array_equal(named[:, 1], np.broadcast_to(np.eye(n), (len(ks), n, n)))
+
+
+def test_vertex_smatrices_are_invariant_under_row_operations():
+    # equivalent pairs (CA, CB) have the same S(k): the invariant that
+    # canonicalize, scale_invariant and localize read at k = 1
+    rng = np.random.default_rng(218)
+    ks = [0.5, 1.0, 3.0]
+    for i in range(60):
+        n = 1 + i % 6
+        bc = random_bc(n, rng)
+        c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        reference = vertex_smatrices(bc.A[None], bc.B[None], ks)
+        moved = vertex_smatrices((c @ bc.A)[None], (c @ bc.B)[None], ks)
+        assert np.abs(moved - reference).max() < 1e-10, i
 
 
 def test_random_bc_is_always_admissible():
