@@ -4,7 +4,9 @@ A boundary condition is a pair of square matrices ``(A, B)`` acting on the
 vector of endpoint values and inward endpoint derivatives through
 ``A @ values + B @ derivatives = 0``.  The pair describes a self-adjoint
 operator exactly when ``(A, B)`` has maximal rank and ``A @ B^dagger`` is
-Hermitian; :func:`validate` measures both properties.
+Hermitian; :func:`validate` measures both on the row-normalized pair at one
+absolute tolerance, so a graph pair is admissible exactly when its vertex
+pairs are.
 
 An admissible pair has the unitary on-shell S-matrix
 ``S(k) = -(A + ikB)^{-1} (A - ikB)``, and equivalent pairs ``(CA, CB)`` have
@@ -97,43 +99,38 @@ class VertexPartition:
 
 @dataclass(frozen=True, eq=False)
 class Admissibility:
-    """The tolerance-free numbers admissibility of ``(A, B)`` is decided on.
-
-    ``singular_values`` are those of ``[A | B]`` in descending order,
-    ``hermiticity_defect`` is ``||A B^dagger - B A^dagger||_2``,
-    ``reality_defect`` is ``||A B^T - B A^T||_2`` and ``norm_a``/``norm_b``
-    are the spectral norms of ``A`` and ``B``.  All five combine exactly over
-    a block sum of pairs, even one with its rows and columns permuted (see
-    :func:`combine_admissibility`).
+    """The numbers admissibility of ``(A, B)`` is decided on, each against an
+    absolute tolerance: for the pair ``(A', B')`` with every row of
+    ``[A | B]`` scaled to unit 2-norm (zero rows stay zero), the
+    ``singular_values`` of ``[A' | B']`` in descending order, the
+    ``hermiticity_defect`` ``||A' B'^dagger - B' A'^dagger||_2`` and the
+    ``reality_defect`` ``||A' B'^T - B' A'^T||_2``.  All three combine
+    exactly over a block sum of pairs, even one with its rows and columns
+    permuted (see :func:`combine_admissibility`).
     """
 
     singular_values: np.ndarray
     hermiticity_defect: float
     reality_defect: float
-    norm_a: float
-    norm_b: float
 
     @property
     def dim(self) -> int:
         return len(self.singular_values)
 
     def rank(self, tol: float = DEFAULT_TOL) -> int:
-        """Number of singular values of ``[A | B]`` above ``tol * sigma_max``."""
+        """Number of singular values of ``[A' | B']`` above ``tol``."""
         if tol <= 0:
             raise ValueError(f"tolerance must be positive, got {tol!r}")
-        s = self.singular_values
-        if not s.size or s[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(s > tol * s[0]))
+        return int(np.count_nonzero(self.singular_values > tol))
 
     def hermitian_ok(self, tol: float = DEFAULT_TOL) -> bool:
-        """Whether ``A B^dagger`` is Hermitian up to ``tol`` at the product scale."""
-        return self.hermiticity_defect <= tol * max(1.0, self.norm_a * self.norm_b)
+        """Whether ``A' B'^dagger`` is Hermitian up to ``tol``."""
+        return self.hermiticity_defect <= tol
 
     def real(self, tol: float = DEFAULT_TOL) -> bool:
-        """Whether ``A B^T`` is symmetric up to ``tol`` at the product scale: the
-        test :func:`equivalent` makes of the pair and its conjugate."""
-        return self.reality_defect <= tol * max(1.0, self.norm_a * self.norm_b)
+        """Whether ``A' B'^T`` is symmetric up to ``tol``: the test
+        :func:`equivalent` makes of the pair and its conjugate."""
+        return self.reality_defect <= tol
 
     def admissible(self, tol: float = DEFAULT_TOL) -> bool:
         """Whether ``[A | B]`` has full rank and ``A B^dagger`` is Hermitian at ``tol``."""
@@ -154,23 +151,32 @@ class Admissibility:
                 f"{self.dim}, hermiticity defect {self.hermiticity_defect:.3e}")
 
 
+def _normalized_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[a | b]`` of ``(..., d, d)`` blocks with each row scaled to unit
+    2-norm on its own; zero rows stay zero."""
+    ab = np.concatenate([a, b], axis=-1)
+    norms = np.linalg.norm(ab, axis=-1, keepdims=True)
+    return ab / np.where(norms > 0.0, norms, 1.0)
+
+
 def measure_admissibility_stack(a: np.ndarray, b: np.ndarray) -> list[Admissibility]:
     """Admissibility numbers of every pair of a stack of ``(G, d, d)`` blocks
     ``a[i], b[i]``, from two stacked SVD calls whatever ``G`` is.
 
-    Each pair's numbers equal a one-pair measurement bit for bit: LAPACK
-    decomposes every matrix of a stack on its own.
+    Each pair's numbers equal a one-pair measurement bit for bit: each row
+    and each matrix of a stack is normalized and decomposed on its own.
     """
+    ab = _normalized_rows(a, b)
+    a, b = np.split(ab, 2, axis=-1)
     h = a @ b.conj().swapaxes(-1, -2)
     r = a @ b.swapaxes(-1, -2)
-    sigma = np.linalg.svd(np.concatenate([a, b], axis=-1), compute_uv=False)
-    # ||A B^dagger - B A^dagger||, ||A B^T - B A^T||, ||A||, ||B||: largest singular
+    sigma = np.linalg.svd(ab, compute_uv=False)
+    # ||A' B'^dagger - B' A'^dagger||, ||A' B'^T - B' A'^T||: largest singular
     # values (initial=0.0 gives 0 for 0 x 0 blocks and changes nothing else)
-    defect, reality, norm_a, norm_b = np.linalg.svd(np.concatenate(
-        [h - h.conj().swapaxes(-1, -2), r - r.swapaxes(-1, -2), a, b]), compute_uv=False,
-    ).max(axis=-1, initial=0.0).reshape(4, -1).tolist()
-    return [Admissibility(*numbers)
-            for numbers in zip(sigma, defect, reality, norm_a, norm_b)]
+    defect, reality = np.linalg.svd(np.concatenate(
+        [h - h.conj().swapaxes(-1, -2), r - r.swapaxes(-1, -2)]), compute_uv=False,
+    ).max(axis=-1, initial=0.0).reshape(2, -1).tolist()
+    return [Admissibility(*numbers) for numbers in zip(sigma, defect, reality)]
 
 
 def measure_admissibility(bc: BoundaryCondition) -> Admissibility:
@@ -184,28 +190,29 @@ def combine_admissibility(parts) -> Admissibility:
     """Admissibility numbers of a block sum of pairs from those of its blocks.
 
     For ``A = P (A_1 + ... + A_r) Q`` and ``B = P (B_1 + ... + B_r) Q`` with
-    permutations ``P`` and ``Q``, the singular values of ``[A | B]`` are the
-    union of the blocks' ones, ``A B^dagger`` and ``A B^T`` are permuted block
-    diagonals (``Q Q^dagger = Q Q^T = I``, so each defect is the largest block
-    defect), and ``||A||``, ``||B||`` are the largest block norms.
+    permutations ``P`` and ``Q``, each row is a block row padded with zeros,
+    so ``(A', B')`` is the same block sum of the blocks' ``(A', B')``: its
+    singular values are the union of the blocks' ones, and ``A' B'^dagger``
+    and ``A' B'^T`` are permuted block diagonals (``Q Q^dagger = Q Q^T = I``,
+    so each defect is the largest block defect).  The sum is admissible
+    exactly when every block is.
     """
     parts = list(parts)
     if not parts:
-        return Admissibility(np.zeros(0), 0.0, 0.0, 0.0, 0.0)
+        return Admissibility(np.zeros(0), 0.0, 0.0)
     sigma = np.sort(np.concatenate([p.singular_values for p in parts]))[::-1]
     return Admissibility(
         singular_values=sigma,
         hermiticity_defect=max(p.hermiticity_defect for p in parts),
         reality_defect=max(p.reality_defect for p in parts),
-        norm_a=max(p.norm_a for p in parts),
-        norm_b=max(p.norm_b for p in parts),
     )
 
 
 def validate(bc: BoundaryCondition, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Admissibility of ``bc`` at ``tol`` (:meth:`Admissibility.report` of one
     measurement): full numeric rank of ``[A | B]``, Hermitian ``A @ B^dagger``
-    and, for an admissible ``bc`` only, reality."""
+    and, for an admissible ``bc`` only, reality, on the row-normalized pair
+    at the absolute ``tol``."""
     return measure_admissibility(bc).report(tol)
 
 
@@ -249,20 +256,17 @@ def equivalent(bc1: BoundaryCondition, bc2: BoundaryCondition,
                tol: float = DEFAULT_TOL) -> bool:
     """Whether two admissible pairs define the same boundary condition.
 
-    The criterion is ``A2 @ B1^dagger - B2 @ A1^dagger == 0`` (up to ``tol``
-    at the scale of the products), which holds exactly when the two pairs have
-    equal solution spaces.
+    The criterion is ``A2' @ B1'^dagger - B2' @ A1'^dagger == 0`` on the
+    row-normalized pairs, up to the absolute ``tol``, which holds exactly when
+    the two pairs have equal solution spaces.  For ``bc2 = bc1.conjugate()``
+    it is the reality test :meth:`Admissibility.real`.
     """
     if bc1.dim != bc2.dim:
         raise DimensionMismatch(
             f"cannot compare boundary conditions of sizes {bc1.dim} and {bc2.dim}")
-    cross = bc2.A @ bc1.B.conj().T - bc2.B @ bc1.A.conj().T
-    scale = max(
-        1.0,
-        numkernel.spectral_norm(bc2.A) * numkernel.spectral_norm(bc1.B),
-        numkernel.spectral_norm(bc2.B) * numkernel.spectral_norm(bc1.A),
-    )
-    return numkernel.spectral_norm(cross) <= tol * scale
+    a1, b1 = np.split(_normalized_rows(bc1.A, bc1.B), 2, axis=-1)
+    a2, b2 = np.split(_normalized_rows(bc2.A, bc2.B), 2, axis=-1)
+    return numkernel.spectral_norm(a2 @ b1.conj().T - b2 @ a1.conj().T) <= tol
 
 
 def dual(bc: BoundaryCondition, n_external: int, m_internal: int) -> BoundaryCondition:

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Relative tolerance (against the largest singular value) used whenever a
-# caller does not override it.
+# Tolerance used whenever a caller does not override it: absolute for the
+# admissibility numbers of ``boundary``, which are numbers of row-normalized
+# pairs, and relative to the largest singular value in :func:`pseudoinverse`.
 DEFAULT_TOL = 1e-10
 
 

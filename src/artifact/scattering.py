@@ -44,7 +44,7 @@ values-only SVD of each batch.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +61,6 @@ PHASE_BOUND = 2.0 ** 52
 MAX_GRID_POINTS = 10 ** 7
 # Fixed iteration budget of the golden-section refinement.
 GOLDEN_ITERATIONS = 40
-# Candidate eigenvalues closer than this (relatively) are merged.
-MERGE_RELATIVE = 1e-6
 # Default grid density: points per unit of max_length * (k_max - k_min).
 GRID_DENSITY = 2000
 # Complex entries of the scattered vertex S-matrices per batch: a batch holds
@@ -515,11 +513,11 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
     Scans ``sigma_min(B)`` of the bond matrix on a grid uniform in
     ``k = sqrt(E)``, takes each local minimum below ``max(1e-2, 10 tol)`` as a
     candidate, refines all candidates in lockstep by golden-section search
-    (fixed iteration count, one batched decomposition per step), merges
-    candidates within 1e-6 relative energy, and accepts a candidate when the
-    refined ``sigma_min(B) < tol`` (absolute: the singular values of ``B`` lie
-    in ``[0, 2]``).  A candidate within 1e-6 relative energy of ``e_min`` is
-    the excluded left edge and is dropped.
+    (fixed iteration count, one batched decomposition per step), accepts a
+    candidate when the refined ``sigma_min(B) < tol`` (absolute: the singular
+    values of ``B`` lie in ``[0, 2]``) and merges those within half a grid
+    step in ``k``.  One ending within the last golden bracket or 4 ulps of
+    ``sqrt(e_min)`` is the excluded left edge and is dropped.
 
     Args:
         grid: number of scan points; defaults to about 2000 per unit of
@@ -546,32 +544,31 @@ def spectrum(gbc: GlobalBC, e_min: float, e_max: float, grid: int | None = None,
         raise BadWindow(f"grid must have 3 to {MAX_GRID_POINTS} points, got {grid!r}")
     grid = int(grid)
     ks = np.linspace(k_lo, k_hi, grid)
+    h = ks[1] - ks[0]
     sigmas = _smallest_sigmas(gbc, ks)
 
     padded = np.concatenate([[np.inf], sigmas, [np.inf]])
     minima = np.flatnonzero((sigmas <= padded[:-2]) & (sigmas <= padded[2:])
                             & (sigmas < max(1e-2, 10.0 * tol)))
-    candidates = []
+    # the window excludes its left edge: a search ending within its last
+    # bracket (at most 2h wide at the start) or 4 ulps of k_lo found the edge
+    edge = k_lo + max(2.0 * h * _GOLDEN ** GOLDEN_ITERATIONS, 4.0 * np.spacing(k_lo))
+    merged: list[tuple[float, float]] = []
     if minima.size:
         k_star, r_star = _golden_minimize(
             lambda k: _smallest_sigmas(gbc, k),
             ks[np.maximum(minima - 1, 0)], ks[np.minimum(minima + 1, grid - 1)])
-        for k, r in zip(k_star, r_star.tolist()):
-            e_star = float(k ** 2)
-            # the window excludes its left edge, where the scan starts
-            if r < tol and e_star - e_min > MERGE_RELATIVE * max(1.0, e_star):
-                candidates.append((e_star, r))
+        for k, r in sorted(zip(k_star, r_star.tolist())):
+            if r >= tol or k <= edge:
+                continue
+            # searches from neighbouring minima found the same eigenvalue
+            if merged and k - merged[-1][0] <= h / 2:
+                if r < merged[-1][1]:
+                    merged[-1] = (k, r)
+            else:
+                merged.append((k, r))
 
-    candidates.sort()
-    merged: list[tuple[float, float]] = []
-    for e, r in candidates:
-        if merged and abs(e - merged[-1][0]) <= MERGE_RELATIVE * max(1.0, e):
-            if r < merged[-1][1]:
-                merged[-1] = (e, r)
-        else:
-            merged.append((e, r))
-
-    eigenvalues = tuple(e for e, _ in merged)
+    eigenvalues = tuple(float(k ** 2) for k, _ in merged)
     residuals = _smallest_sigmas(gbc, np.sqrt(eigenvalues))
     return SpectrumResult(eigenvalues, tuple(float(r) for r in residuals),
                           (float(e_min), float(e_max)), grid)
@@ -661,15 +658,12 @@ def check_duality(gbc: GlobalBC, energy: float) -> float:
     """
     energy = _check_energy(energy)
     res = solve_scattering(gbc, energy)
-    # [-B T | A T] is [A | B] times a signed permutation, and
-    # (-B T)(A T)^dagger = -B A^dagger, (-B T)(A T)^T = -B A^T: the numbers
-    # are kept, the norms swap
-    numbers = gbc.admissibility_numbers()
+    # each row of [-B T | A T] is its row of [A | B], signed and permuted
     themed = GlobalBC(
         gbc.n, gbc.m,
         tuple(energy * a for a in gbc.lengths),
         boundary.dual(gbc.bc, gbc.n, gbc.m),
-        replace(numbers, norm_a=numbers.norm_b, norm_b=numbers.norm_a),
+        gbc.admissibility_numbers(),
     )
     res_d = solve_scattering(themed, 1.0 / energy)
     return float(max(

@@ -133,6 +133,20 @@ def test_equivalence_is_discriminating():
         equivalent(dirichlet(2), dirichlet(3))
 
 
+def test_validate_ignores_the_scale_of_a_row():
+    # the rows of delta_coupling(c) differ in scale by about c; dividing the
+    # second one by c gives the same condition and must get the same verdict
+    for c in (1e10, 1e12, 1e14):
+        bc = delta_coupling(c)
+        rows = np.array([[1.0], [1.0 / c]])
+        scaled = BoundaryCondition(rows * bc.A, rows * bc.B)
+        report, other = validate(bc), validate(scaled)
+        assert report.ok and report.is_real_bc, c
+        assert (other.ok, other.rank_found, other.is_real_bc) == (
+            report.ok, report.rank_found, report.is_real_bc), c
+        assert equivalent(bc, scaled) and equivalent(scaled, bc), c
+
+
 def test_canonicalize_idempotent_and_class_invariant():
     rng = np.random.default_rng(8)
     for n in (1, 2, 4):

@@ -156,6 +156,18 @@ def test_validate_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "global: n=2 m=2 size=6 ok" in out
 
+    # a Kirchhoff vertex with its rows scaled by 1e12 is the same condition
+    scaled = _ring_doc()
+    a = [[1, -1, 0], [0, 1, -1], [0, 0, 0]]
+    b = [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
+    scaled["vertices"][0]["bc"] = {
+        "kind": "matrix",
+        "A": [[[1e12 * x, 0.0] for x in row] for row in a],
+        "B": [[[1e12 * x, 0.0] for x in row] for row in b],
+    }
+    assert main(["validate", _write(tmp_path, scaled)]) == 0
+    assert "global: n=2 m=2 size=6 ok" in capsys.readouterr().out
+
     # rank-deficient vertex condition
     bad = _ring_doc()
     bad["vertices"][0]["bc"] = {
@@ -621,22 +633,21 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert "FAIL" not in first
 
 
-def test_sweep_rows_carry_the_error_name(tmp_path, capsys):
-    # every vertex passes on its own, but a 1e12 scale gap between them fails
-    # the global relative rank test: each row reports the refusal
+def test_sweep_refuses_an_inadmissible_vertex_by_name(tmp_path, capsys):
+    # A = I with a non-Hermitian B: full rank, A B^dagger not Hermitian.  The
+    # graph is refused before any row, naming the vertex
     doc = _ring_doc()
-    a = [[1, -1, 0], [0, 1, -1], [0, 0, 0]]
-    b = [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
-    doc["vertices"][0]["bc"] = {
+    doc["vertices"][1]["bc"] = {
         "kind": "matrix",
-        "A": [[[1e12 * x, 0.0] for x in row] for row in a],
-        "B": [[[1e12 * x, 0.0] for x in row] for row in b],
+        "A": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)],
+        "B": [[[float(j > i), 0.0] for j in range(3)] for i in range(3)],
     }
     assert main(["sweep", _write(tmp_path, doc), "--emin", "1", "--emax", "4",
-                 "--points", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4
-    assert [line.split(",")[-1] for line in lines[1:]] == ["InvalidBoundaryCondition"] * 3
+                 "--points", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: vertex 1: boundary condition is not admissible: rank 3 of 3")
 
 
 def test_compose_without_external_lines_is_a_named_error(capsys):

@@ -261,21 +261,24 @@ def _admissible(gbc) -> bool:
 
 def test_assembled_verdict_matches_global_validation():
     # (A, B) is a permuted block sum of the vertex pairs, so the verdict that
-    # assemble derives from the vertices must equal the full N x N check, also
-    # where the vertex scales differ so much that every vertex passes but the
-    # global relative rank test fails
+    # assemble derives from the vertices must equal the full N x N check and
+    # the AND of the vertex verdicts, also where one vertex is scaled by 1e12
+    # or 1e-12: the rows are measured normalized
+    fixtures = resources.files("artifact") / "fixtures"
+    graphs = [cli.load_document(str(path)).to_graph()
+              for path in sorted(fixtures.iterdir()) if path.name.endswith(".json")]
     rng = np.random.default_rng(12)
-    verdicts = []
-    for factor in (1.0, 1e3, 1e6, 1e12, 1e-12):
-        for _ in range(4):
-            gbc = assemble(_two_clusters(rng, factor))
-            expected = boundary.validate(gbc.bc).ok
-            assert _admissible(gbc) == expected
-            if not expected:
-                with pytest.raises(InvalidBoundaryCondition):
-                    scattering.solve_scattering(gbc, 1.3)
-            verdicts.append(expected)
-    assert verdicts.count(False) == 8
+    graphs += [_two_clusters(rng, factor)
+               for factor in (1.0, 1e3, 1e6, 1e12, 1e-12) for _ in range(4)]
+    for g in graphs:
+        gbc = assemble(g)
+        expected = boundary.validate(gbc.bc).ok
+        assert _admissible(gbc) == expected
+        assert expected == all(boundary.validate(v.bc).ok for v in g.vertices)
+        assert expected
+        if g.n:
+            res = scattering.solve_scattering(gbc, 1.3)
+            assert res.unitarity_defect < 1e-12
 
 
 def _delta_chain(junctions, rng):
@@ -323,18 +326,26 @@ def test_assembled_pair_equals_per_vertex_measurements():
         assert np.array_equal(gbc.bc.A, a) and np.array_equal(gbc.bc.B, b)
         parts = [boundary.measure_admissibility(v.bc) for v in g.vertices]
         for v, p in zip(g.vertices, parts):
-            # the one-pair measurement is the arithmetic of a lone SVD per number
-            assert np.array_equal(p.singular_values, np.linalg.svd(
-                np.hstack([v.bc.A, v.bc.B]), compute_uv=False))
+            # the one-pair measurement is the arithmetic of a lone SVD per
+            # number of the pair with every row of [A | B] scaled to norm 1
+            ab = np.hstack([v.bc.A, v.bc.B])
+            ab = ab / np.linalg.norm(ab, axis=1, keepdims=True)
+            a_n, b_n = ab[:, :v.bc.dim], ab[:, v.bc.dim:]
+            assert np.array_equal(p.singular_values, np.linalg.svd(ab, compute_uv=False))
             assert p.hermiticity_defect == numkernel.hermiticity_defect(
-                v.bc.A @ v.bc.B.conj().T)
-            assert p.norm_a == numkernel.spectral_norm(v.bc.A)
-            assert p.norm_b == numkernel.spectral_norm(v.bc.B)
+                a_n @ b_n.conj().T)
+            r = a_n @ b_n.T
+            assert p.reality_defect == numkernel.spectral_norm(r - r.T)
         expected = boundary.combine_admissibility(parts)
         got = gbc.admissibility_numbers()
         assert np.array_equal(got.singular_values, expected.singular_values)
-        assert (got.hermiticity_defect, got.norm_a, got.norm_b) == (
-            expected.hermiticity_defect, expected.norm_a, expected.norm_b)
+        assert (got.hermiticity_defect, got.reality_defect) == (
+            expected.hermiticity_defect, expected.reality_defect)
+        # measuring the global pair itself gives the same numbers up to rounding
+        fresh = boundary.measure_admissibility(gbc.bc)
+        assert_allclose(fresh.singular_values, expected.singular_values,
+                        rtol=1e-13, atol=1e-15)
+        assert abs(fresh.hermiticity_defect - expected.hermiticity_defect) <= 1e-13
 
 
 def test_localize_of_the_assembled_pair_joins_the_vertex_blocks():
