@@ -1,10 +1,10 @@
-"""Command-line front end: validate, sweep, spectrum, compose, selftest.
+"""Command-line front end: validate, sweep, spectrum, compose.
 
-Every command but ``selftest`` reads a graph document (format in
-:mod:`artifact.document`; ``-`` reads stdin).  Sweep CSV columns are, in
-order: E, k, then Re/Im/|.|^2 triples of every S entry row-major (labels
-``ReS_<out>_<in>`` etc.), then unitarity_defect, at_eigenvalue, status.  Rows
-whose solve failed carry the error name in status and nan data cells.
+Every command reads a graph document (format in :mod:`artifact.document`;
+``-`` reads stdin).  Sweep CSV columns are, in order: E, k, then Re/Im/|.|^2
+triples of every S entry row-major (labels ``ReS_<out>_<in>`` etc.), then
+unitarity_defect, at_eigenvalue, status.  Rows whose solve failed carry the
+error name in status and nan data cells.
 
 Exit codes: 0 success, 1 domain failure, 2 malformed input.
 """
@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import boundary, scattering, selftest, starprod
+from . import boundary, scattering, starprod
 from . import graph as graphmod
 from .boundary import DimensionMismatch, InvalidBoundaryCondition, InvalidParameters
 from .document import DocumentError, GraphDocument, load_document, loads_document
@@ -106,9 +106,9 @@ def _sweep_energies(args) -> np.ndarray:
 
 
 def _s_cells(entries: list) -> list:
-    """The Re, Im, |.|^2 cells of S entries listed row-major.  ``abs(z) ** 2``
-    on Python complex values, not ``np.abs``, which rounds differently."""
-    return [x for z in entries for x in (z.real, z.imag, abs(z) ** 2)]
+    """The Re, Im, |.|^2 cells of S entries (Python complex values) listed
+    row-major; ``|.|^2`` is :func:`scattering.abs_squared`."""
+    return [x for z in entries for x in (z.real, z.imag, scattering.abs_squared(z))]
 
 
 def cmd_sweep(args) -> int:
@@ -214,18 +214,6 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args) -> int:
-    outcomes = selftest.run_checks(args.seed)
-    passed = sum(1 for o in outcomes if o["ok"])
-    if args.json:
-        print(json.dumps({"checks": outcomes, "passed": passed,
-                          "total": len(outcomes)}, indent=2, sort_keys=True))
-    else:
-        for o in outcomes:
-            print(f"{'PASS' if o['ok'] else 'FAIL'}  {o['name']}: {o['detail']}")
-        print(f"passed {passed}/{len(outcomes)}")
-    return EXIT_OK if passed == len(outcomes) else EXIT_DOMAIN
-
 def tolerance(text: str) -> float:
     """The argparse type of every ``--tol``: a finite number > 0."""
     value = float(text)
@@ -274,10 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--energies", required=True, help="comma-separated energies")
     p.add_argument("--tol", type=tolerance, default=starprod.CONDITION_A_TOL)
     p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("selftest", help="run the bundled example and property suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
 
     for p in sub.choices.values():      # every command, as its last option
         p.add_argument("--json", action="store_true")

@@ -699,6 +699,13 @@ def check_covariance(gbc: GlobalBC, u, energy: float) -> float:
     ))
 
 
+def abs_squared(z: complex) -> float:
+    """``|z|^2`` of one S entry, as ``abs(z) ** 2`` on the Python complex: the
+    one definition of a probability here (``np.abs`` rounds differently in
+    the last bit)."""
+    return abs(z) ** 2
+
+
 def sweep(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL):
     """Scattering results over an energy grid, plus transmission probabilities.
 
@@ -707,8 +714,8 @@ def sweep(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL):
 
     Returns:
         ``(results, probabilities)``: the :class:`ScatteringGrid` of
-        :func:`solve_many` and the ``(G, n, n)`` array of ``|S_jk|^2``, taken
-        in one call on ``results.s``.
+        :func:`solve_many` and the ``(G, n, n)`` array of ``|S_jk|^2``, each
+        entry :func:`abs_squared` of ``results.s``.
 
     Raises:
         the first error :func:`solve_scattering` raises on the grid.
@@ -717,4 +724,5 @@ def sweep(gbc: GlobalBC, energies, tol: float = SINGULAR_TOL):
     for error in result.errors:
         if error is not None:
             raise error
-    return result, np.abs(result.s) ** 2
+    probabilities = [abs_squared(z) for z in result.s.ravel().tolist()]
+    return result, np.array(probabilities, dtype=float).reshape(result.s.shape)

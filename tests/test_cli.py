@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import boundary, cli, scattering, selftest
+from artifact import boundary, cli, scattering
 from artifact import graph as graphmod
 from artifact.cli import DocumentError, GraphDocument, loads_document, main
 
@@ -298,6 +298,10 @@ def test_malformed_input_is_exit_2(tmp_path, capsys):
     assert main(["validate", _write(tmp_path, bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # a removed command: its checks live in tests/
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2 and "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 def test_sweep_csv_deterministic(tmp_path, capsys):
@@ -364,6 +368,18 @@ def test_sweep_json_payload(capsys):
     col = payload["columns"].index("absS2_l1_l2")
     for row in payload["rows"]:
         assert abs(row[col] - 1.0) < 1e-12
+    # the whole S-matrix of the junctions whose S does not depend on E: the
+    # trivial one and the three-line standard coupling
+    for name, target in (("free_two_line.json", [[0.0, 1.0], [1.0, 0.0]]),
+                         ("kirchhoff_star.json", 2.0 / 3.0 * np.ones((3, 3)) - np.eye(3))):
+        size = np.size(target)
+        for e in ("0.3", "2.0", "40"):
+            assert main(["sweep", _fixture_path(name), "--emin", e, "--emax", e,
+                         "--points", "1", "--json"]) == 0
+            row = json.loads(capsys.readouterr().out)["rows"][0]
+            cells = np.array(row[2:2 + 3 * size])      # Re, Im, |.|^2 per entry
+            s = cells[0::3] + 1j * cells[1::3]
+            assert np.abs(s - np.ravel(target)).max() < 1e-12, (name, e)
 
 
 def _reference_sweep(path, emin, emax, points, uniform_e, as_json):
@@ -450,6 +466,17 @@ def test_sweep_abs_squared_cells_are_python_abs_squared():
     scalar = np.array([float(abs(v) ** 2) for v in z])      # numpy scalars
     assert np.array_equal(cells[:, 2].view(np.uint64), python.view(np.uint64))
     assert np.array_equal(cells[:, 2].view(np.uint64), scalar.view(np.uint64))
+
+
+def test_library_sweep_probabilities_are_the_sweep_cells():
+    # scattering.sweep and artifact sweep give the same |S|^2, bit for bit
+    gbc = graphmod.assemble(loads_document(_fixture_text("ring.json")).to_graph())
+    energies = np.linspace(np.sqrt(0.55), np.sqrt(400.0), 500) ** 2
+    result, probabilities = scattering.sweep(gbc, energies)
+    cells = [cli._s_cells(entries)[2::3]
+             for entries in result.s.reshape(len(result), -1).tolist()]
+    assert np.array_equal(probabilities.reshape(len(result), -1).view(np.uint64),
+                          np.array(cells).view(np.uint64))
 
 
 def test_sweep_rejects_closed_graphs_and_bad_grids(capsys):
@@ -623,16 +650,6 @@ def test_compose_linalg_calls_do_not_grow_with_the_energies(monkeypatch, capsys)
     assert seen[0]["inv"] == 1 + 1
 
 
-def test_selftest_passes_and_is_deterministic(capsys):
-    assert main(["selftest", "--seed", "1"]) == 0
-    first = capsys.readouterr().out
-    assert main(["selftest", "--seed", "1"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    assert f"passed {len(selftest._SELFTEST_CHECKS)}/{len(selftest._SELFTEST_CHECKS)}" in first
-    assert "FAIL" not in first
-
-
 def test_sweep_refuses_an_inadmissible_vertex_by_name(tmp_path, capsys):
     # A = I with a non-Hermitian B: full rank, A B^dagger not Hermitian.  The
     # graph is refused before any row, naming the vertex
@@ -667,7 +684,6 @@ _COMMANDS = [
     ["compose", _fixture_path("ring.json"), "--cut", "i1,i2", "--energies", "0.7",
      "--json", "--tol", "1e-3"],
     ["validate", _fixture_path("tadpole.json")],
-    ["selftest", "--seed", "3", "--json"],
     ["spectrum", _fixture_path("ring.json"), "--emin", "1", "--emax", "50",
      "--eigenfunctions"],
 ]

@@ -4,27 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import boundary, cli, graph, numkernel, scattering, selftest
+from artifact import boundary, cli, graph, numkernel, scattering
 from artifact.boundary import (BoundaryCondition, InvalidBoundaryCondition,
                                InvalidParameters, kirchhoff_standard, random_bc)
 from artifact.graph import (InvalidGraph, MetricGraph, NotACut, UnknownEdge,
                             Vertex, assemble, cut, ext_ref, insert_trivial_vertex,
                             int_ref, trivial_vertex_bc)
-
-
-def _ring(a=1.0):
-    """Two vertices joined by two parallel edges, one external line each."""
-    v0 = Vertex((ext_ref("l1"), int_ref("i1", "0"), int_ref("i2", "0")),
-                kirchhoff_standard(3))
-    v1 = Vertex((ext_ref("l2"), int_ref("i1", "a"), int_ref("i2", "a")),
-                kirchhoff_standard(3))
-    return MetricGraph(("l1", "l2"), (("i1", a), ("i2", a)), (v0, v1))
-
-
-def _tadpole(a=1.0):
-    v = Vertex((ext_ref("l1"), int_ref("loop", "0"), int_ref("loop", "a")),
-               kirchhoff_standard(3))
-    return MetricGraph(("l1",), (("loop", a),), (v,))
+from helpers import random_graph, ring, tadpole
 
 
 def test_endpoint_reference_helpers():
@@ -36,11 +22,11 @@ def test_endpoint_reference_helpers():
 
 
 def test_counts_lengths_tadpole_queries():
-    g = _ring(2.5)
+    g = ring(2.5)
     assert g.n == 2 and g.m == 2
     assert g.length("i1") == 2.5
     assert not g.is_tadpole("i1")
-    assert _tadpole().is_tadpole("loop")
+    assert tadpole().is_tadpole("loop")
     with pytest.raises(UnknownEdge):
         g.length("nope")
     with pytest.raises(UnknownEdge):
@@ -82,7 +68,7 @@ def test_vertex_validation():
 
 
 def test_assemble_ring_explicit_layout():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     assert gbc.n == 2 and gbc.m == 2 and gbc.lengths == (1.0, 1.0)
     # columns: l1, l2, i1:0, i2:0, i1:a, i2:a
     expected_a = np.zeros((6, 6), dtype=complex)
@@ -116,7 +102,7 @@ def test_assemble_names_offending_vertex():
 
 
 def test_global_bc_consistency_checks():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     with pytest.raises(InvalidGraph):
         graph.GlobalBC(n=2, m=2, lengths=(1.0,), bc=gbc.bc)
     with pytest.raises(InvalidGraph):
@@ -134,7 +120,7 @@ def test_trivial_vertex_is_transparent_on_a_line():
 
 
 def test_insert_trivial_vertex_splits_length():
-    g = insert_trivial_vertex(_tadpole(2.0), "loop", position=0.3)
+    g = insert_trivial_vertex(tadpole(2.0), "loop", position=0.3)
     ids = dict(g.internals)
     assert set(ids) == {"loop.1", "loop.2"}
     assert_allclose(ids["loop.1"], 0.6)
@@ -144,7 +130,7 @@ def test_insert_trivial_vertex_splits_length():
 
 
 def test_insert_trivial_vertex_preserves_smatrix():
-    for builder in (_ring, _tadpole):
+    for builder in (ring, tadpole):
         g = builder(1.3)
         edge = g.internals[0][0]
         split = insert_trivial_vertex(g, edge, position=0.37)
@@ -155,7 +141,7 @@ def test_insert_trivial_vertex_preserves_smatrix():
 
 
 def test_insert_trivial_vertex_preserves_spectrum():
-    g = _ring()
+    g = ring()
     split = insert_trivial_vertex(g, "i1", position=0.41)
     ev0 = scattering.spectrum(assemble(g), 1.0, 50.0).eigenvalues
     ev1 = scattering.spectrum(assemble(split), 1.0, 50.0).eigenvalues
@@ -175,15 +161,15 @@ def test_insert_trivial_vertex_avoids_id_collisions():
 
 def test_insert_trivial_vertex_rejects_bad_requests():
     with pytest.raises(UnknownEdge):
-        insert_trivial_vertex(_tadpole(), "nope")
+        insert_trivial_vertex(tadpole(), "nope")
     with pytest.raises(InvalidParameters):
-        insert_trivial_vertex(_tadpole(), "loop", position=0.0)
+        insert_trivial_vertex(tadpole(), "loop", position=0.0)
     with pytest.raises(InvalidParameters):
-        insert_trivial_vertex(_tadpole(), "loop", position=1.0)
+        insert_trivial_vertex(tadpole(), "loop", position=1.0)
 
 
 def test_cut_ring_bookkeeping():
-    left, right, cm = cut(_ring(), ["i1", "i2"])
+    left, right, cm = cut(ring(), ["i1", "i2"])
     assert [p[:2] for p in cm.pairs] == [("i1.cut0", "i1.cuta"),
                                          ("i2.cut0", "i2.cuta")]
     assert cm.pairs[0][2] == 1.0
@@ -198,20 +184,20 @@ def test_cut_ring_bookkeeping():
 
 
 def test_cut_order_follows_internal_listing():
-    _, _, cm = cut(_ring(), ["i2", "i1"])
+    _, _, cm = cut(ring(), ["i2", "i1"])
     assert [p[2] for p in cm.pairs] == [1.0, 1.0]
     assert cm.left_externals == ("l1", "i1.cut0", "i2.cut0")
 
 
 def test_cut_rejects_non_separating_selections():
     with pytest.raises(NotACut):
-        cut(_ring(), ["i1"])  # still connected
+        cut(ring(), ["i1"])  # still connected
     with pytest.raises(NotACut):
-        cut(_tadpole(), ["loop"])  # loop removal leaves one component
+        cut(tadpole(), ["loop"])  # loop removal leaves one component
     with pytest.raises(NotACut):
-        cut(_ring(), [])
+        cut(ring(), [])
     with pytest.raises(UnknownEdge):
-        cut(_ring(), ["ghost"])
+        cut(ring(), ["ghost"])
 
 
 def test_cut_rejects_three_component_split():
@@ -299,7 +285,7 @@ def _assembly_cases():
              for path in sorted(fixtures.iterdir()) if path.name.endswith(".json")]
     rng = np.random.default_rng(33)
     for _ in range(12):
-        g = selftest._random_graph(rng)[0]
+        g = random_graph(rng)[0]
         cases.append(g)
         for _ in range(3):   # mixed vertex sizes, more vertices than sizes
             g = insert_trivial_vertex(g, g.internals[-1][0], 0.4)
@@ -353,7 +339,7 @@ def test_localize_of_the_assembled_pair_joins_the_vertex_blocks():
     graphs = [cli.load_document(str(path)).to_graph()
               for path in sorted(fixtures.iterdir()) if path.name.endswith(".json")]
     rng = np.random.default_rng(40)
-    graphs += [selftest._random_graph(rng)[0] for _ in range(40)]
+    graphs += [random_graph(rng)[0] for _ in range(40)]
     for g in graphs:
         gbc = assemble(g)
         expected = []
@@ -384,7 +370,7 @@ def test_assemble_measures_once_per_vertex_size(monkeypatch):
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    for g in (_delta_chain(200, rng), insert_trivial_vertex(_ring(), "i1")):
+    for g in (_delta_chain(200, rng), insert_trivial_vertex(ring(), "i1")):
         calls.clear()
         assemble(g)
         sizes = {v.bc.dim for v in g.vertices}

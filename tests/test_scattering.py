@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from artifact import boundary, numkernel, scattering, selftest
+from artifact import boundary, numkernel, scattering
 from artifact.boundary import (BoundaryCondition, InvalidBoundaryCondition,
                                delta_coupling, dirichlet, kirchhoff_standard,
                                neumann, random_bc, random_unitary)
@@ -13,14 +13,7 @@ from artifact.scattering import (BadWindow, NoExternalLines, NonpositiveEnergy,
                                  eigenfunction, evaluate_wavefunction,
                                  smatrix_single_vertex, solve_scattering,
                                  spectrum, sweep)
-
-
-def _ring(a=1.0):
-    v0 = Vertex((ext_ref("l1"), int_ref("i1", "0"), int_ref("i2", "0")),
-                kirchhoff_standard(3))
-    v1 = Vertex((ext_ref("l2"), int_ref("i1", "a"), int_ref("i2", "a")),
-                kirchhoff_standard(3))
-    return MetricGraph(("l1", "l2"), (("i1", a), ("i2", a)), (v0, v1))
+from helpers import fixture_gbc, random_graph, ring, sl2_closed_form
 
 
 def _ring_smatrix(energy, a=1.0):
@@ -93,7 +86,7 @@ def test_single_vertex_smatrix_at_extreme_energies():
         assert np.abs(s - kirchhoff).max() <= 1e-15
         for bc, params in ((delta_coupling(1.0), (1.0, 0.0, 1.0, 1.0)),
                            (boundary.delta_prime(1.0), (1.0, 1.0, 0.0, 1.0))):
-            expected = selftest._sl2_closed_form(*params, 0.0, e)
+            expected = sl2_closed_form(*params, 0.0, e)
             assert np.abs(smatrix_single_vertex(bc, e) - expected).max() <= 1e-15
 
 
@@ -117,7 +110,7 @@ def test_build_xyz_determinant_product_formula():
 
 
 def test_ring_closed_form_smatrix():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     for e in (0.5, 1.7, 26.0):
         res = solve_scattering(gbc, e)
         assert_allclose(res.s, _ring_smatrix(e), atol=1e-12)
@@ -126,8 +119,30 @@ def test_ring_closed_form_smatrix():
         assert res.alpha.shape == (2, 2) and res.beta.shape == (2, 2)
 
 
+def test_robin_delta_fixture_matches_direct_elimination():
+    # robin_delta.json: a lead, a delta junction (c = 1) and a unit interval
+    # with a Robin end (phi = pi/4); (S, alpha, beta) eliminated by hand from
+    # the three endpoint relations
+    gbc = fixture_gbc("robin_delta.json")
+    phi, c = np.pi / 4.0, 1.0
+    for e in (0.5, 2.0, 10.0):
+        k = np.sqrt(e)
+        res = solve_scattering(gbc, e)
+        q = np.exp(1j * k)
+        rows = np.array([
+            [0.0, np.sin(phi) + 1j * k * np.cos(phi),
+             np.sin(phi) - 1j * k * np.cos(phi)],
+            [1.0, -q, -1.0 / q],
+            [1j * k, -1j * k * q - c * q, 1j * k / q - c / q],
+        ], dtype=complex)
+        rhs = np.array([0.0, -1.0, 1j * k], dtype=complex)
+        s, alpha, beta = np.linalg.solve(rows, rhs)
+        assert max(abs(res.s[0, 0] - s), abs(res.alpha[0, 0] - alpha),
+                   abs(res.beta[0, 0] - beta)) < 1e-10, e
+
+
 def test_ring_det_z_closed_form():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     rng = np.random.default_rng(6)
     for e in rng.uniform(0.2, 40.0, size=8):
         _, _, z = build_xyz(gbc, e)
@@ -137,7 +152,7 @@ def test_ring_det_z_closed_form():
 
 
 def test_ring_spectrum():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     result = spectrum(gbc, 0.5, 100.0)
     expected = [np.pi ** 2, 4 * np.pi ** 2, 9 * np.pi ** 2]
     assert_allclose(result.eigenvalues, expected, rtol=1e-8)
@@ -147,7 +162,7 @@ def test_ring_spectrum():
 
 
 def test_ring_at_eigenvalue_smatrix_still_unique():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     res = solve_scattering(gbc, np.pi ** 2)
     assert res.at_eigenvalue
     # the closed form degenerates to an antidiagonal sign flip at E = pi^2
@@ -179,7 +194,7 @@ def test_spectrum_without_internal_lines_is_empty():
 
 
 def test_spectrum_window_validation():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, 1.0),
                    (1.0, np.inf)):
         with pytest.raises(BadWindow):
@@ -199,7 +214,7 @@ def test_closed_graph_spectrum_and_scattering_refusal():
 
 
 def test_eigenfunction_ring_kernel_structure():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     e = np.pi ** 2
     pairs = eigenfunction(gbc, e)
     assert len(pairs) == 1
@@ -237,7 +252,7 @@ def test_one_edge_circle_finds_both_double_eigenvalues():
 
 
 def test_ring_matches_the_closed_form_from_1e_minus_300_to_1e30():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     energies = [10.0 ** j for j in range(-300, 31)]
     for e, res in zip(energies, scattering.solve_many(gbc, energies)):
         assert np.abs(res.s - _ring_smatrix(e)).max() <= 1e-12, e
@@ -245,7 +260,7 @@ def test_ring_matches_the_closed_form_from_1e_minus_300_to_1e30():
 
 
 def test_energies_past_the_phase_bound_are_refused():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     beyond = (2.0 ** 52) ** 2
     below = np.nextafter(2.0 ** 52, 0.0) ** 2
     outcomes = scattering.solve_many(gbc, [2.0, beyond, below, 1e300])
@@ -260,7 +275,7 @@ def test_energies_past_the_phase_bound_are_refused():
         eigenfunction(gbc, beyond)
     # the bound is on k * max(lengths), and a graph without internal lines has
     # no phase to lose
-    assert isinstance(scattering.solve_many(assemble(_ring(4.0)), [below])[0],
+    assert isinstance(scattering.solve_many(assemble(ring(4.0)), [below])[0],
                       scattering.InconsistentSystem)
     star = assemble(MetricGraph(("l1", "l2"), (),
                                 (Vertex((ext_ref("l1"), ext_ref("l2")),
@@ -270,7 +285,7 @@ def test_energies_past_the_phase_bound_are_refused():
 
 def test_eigenfunction_rejects_regular_energy():
     with pytest.raises(NotAnEigenvalue):
-        eigenfunction(assemble(_ring()), 2.0)
+        eigenfunction(assemble(ring()), 2.0)
 
 
 def _fd_inward_derivative(f, x, length, h=1e-5):
@@ -284,7 +299,7 @@ def _fd_inward_derivative(f, x, length, h=1e-5):
 def test_wavefunction_satisfies_vertex_conditions():
     # continuity and current conservation at both ring vertices, checked with
     # finite differences so the test does not reuse the solver's own algebra
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     e = 3.0
     res = solve_scattering(gbc, e)
     for ch in range(2):
@@ -317,7 +332,7 @@ def test_wavefunction_satisfies_vertex_conditions():
 
 
 def test_wavefunction_domain_checks():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     res = solve_scattering(gbc, 2.0)
     with pytest.raises(OutOfDomain):
         evaluate_wavefunction(gbc, res, 0, ("ext", 0), -0.1)
@@ -354,13 +369,13 @@ def test_symmetry_identities_on_random_graphs():
 
 
 def test_covariance_rejects_wrong_size():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     with pytest.raises(boundary.DimensionMismatch):
         check_covariance(gbc, np.eye(3), 1.0)
 
 
 def test_sweep_keeps_grid_order_and_probability_sums():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     energies = [0.5, 1.1, 2.9, 8.8, 26.0]
     results, probabilities = sweep(gbc, energies)
     assert [r.energy for r in results] == energies
@@ -369,7 +384,7 @@ def test_sweep_keeps_grid_order_and_probability_sums():
 
 
 def test_energy_validation():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(NonpositiveEnergy):
             solve_scattering(gbc, bad)
@@ -380,7 +395,7 @@ def test_energy_validation():
 def _fixture_gbcs():
     for name in ("kirchhoff_star", "free_two_line", "robin_delta", "ring", "tadpole",
                  "chain", "cyclic_junction"):
-        yield selftest._fixture_gbc(f"{name}.json")
+        yield fixture_gbc(f"{name}.json")
 
 
 def test_bond_solution_satisfies_the_dense_z_system():
@@ -388,7 +403,7 @@ def test_bond_solution_satisfies_the_dense_z_system():
     # -(A - ikB) (I; 0; 0) with Z = A X + ik B Y from the dense X and Y
     rng = np.random.default_rng(8)
     gbcs = list(_fixture_gbcs())
-    gbcs += [assemble(selftest._random_graph(rng)[0]) for _ in range(20)]
+    gbcs += [assemble(random_graph(rng)[0]) for _ in range(20)]
     for gbc in gbcs:
         n = gbc.n
         energies = rng.uniform(0.3, 200.0, size=5)
@@ -427,11 +442,11 @@ def test_directly_built_inadmissible_pair_is_refused(monkeypatch):
 def test_a_row_scaled_ring_solves_like_the_ring():
     # the first three rows are vertex 0: scaling them by 1e12 changes neither
     # the boundary condition nor, on the row-normalized pair, its admissibility
-    base = assemble(_ring())
+    base = assemble(ring())
     rows = np.where(np.arange(6) < 3, 1e12, 1.0)[:, None]
     scaled = GlobalBC(2, 2, (1.0, 1.0),
                       BoundaryCondition(rows * base.bc.A, rows * base.bc.B))
-    v0, v1 = _ring().vertices
+    v0, v1 = ring().vertices
     assembled = assemble(MetricGraph(
         ("l1", "l2"), (("i1", 1.0), ("i2", 1.0)),
         (Vertex(v0.endpoints, BoundaryCondition(1e12 * v0.bc.A, 1e12 * v0.bc.B)), v1)))
@@ -443,7 +458,7 @@ def test_a_row_scaled_ring_solves_like_the_ring():
 
 
 def test_solve_many_returns_one_stacked_grid(monkeypatch):
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     beyond = 2.0 ** 104
     energies = [0.5, -1.0, np.pi ** 2, np.nan, beyond, 3.0, (2 * np.pi) ** 2]
     grid = scattering.solve_many(gbc, energies)
@@ -494,7 +509,7 @@ def test_solve_many_returns_one_stacked_grid(monkeypatch):
 
 
 def test_batched_sweep_matches_per_energy_solves(monkeypatch):
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     energies = [0.5, np.pi ** 2, 2.9, 8.8, (2 * np.pi) ** 2, 26.0, 31.0]
     singles = [solve_scattering(gbc, e) for e in energies]
     # batches of 3 energies (N = 6): the eigenvalues sit inside batches
@@ -514,7 +529,7 @@ def test_batched_sweep_matches_per_energy_solves(monkeypatch):
 
 def test_batched_scan_ratios_equal_pointwise_ratios():
     # sigma_min of the bond matrix, the quantity the scan reads
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     ks = np.linspace(np.sqrt(0.5), 10.0, 2500)   # two batches at N = 6
     batched = scattering._smallest_sigmas(gbc, ks)
     pointwise = np.array([scattering._smallest_sigmas(gbc, [k])[0] for k in ks])
@@ -529,7 +544,7 @@ def _dirichlet_pair(delta=1e-4):
     return MetricGraph((), (("i0", 1.0), ("i1", 1.0 + delta)), vertices)
 
 
-_SPECTRUM_CASES = ((_ring, (0.5, 400.0)), (_dirichlet_pair, (1.0, 100.0)))
+_SPECTRUM_CASES = ((ring, (0.5, 400.0)), (_dirichlet_pair, (1.0, 100.0)))
 
 
 def test_spectrum_decompositions_do_not_grow_with_the_candidates(monkeypatch):
@@ -595,7 +610,7 @@ def test_lockstep_refinement_equals_the_scalar_search():
 
 
 def test_spectrum_window_excludes_left_edge_only():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     assert_allclose(spectrum(gbc, np.pi ** 2, 50.0).eigenvalues, [4 * np.pi ** 2],
                     rtol=1e-8)
     assert_allclose(spectrum(gbc, 1.0, np.pi ** 2).eigenvalues, [np.pi ** 2],
@@ -607,7 +622,7 @@ def test_high_k_ring_windows_return_every_eigenvalue(k_lo, count):
     # jπ in (k_lo, k_lo + 10]: merging and the left edge are judged in k on
     # the grid step, so neighbours π apart stay apart and none is taken for
     # the edge
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     result = spectrum(gbc, k_lo ** 2, (k_lo + 10.0) ** 2)
     j = np.arange(np.floor(k_lo / np.pi) + 1, np.floor((k_lo + 10.0) / np.pi) + 1)
     assert len(j) == count
@@ -616,7 +631,7 @@ def test_high_k_ring_windows_return_every_eigenvalue(k_lo, count):
 
 
 def test_high_k_left_edge_is_excluded():
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     j = np.floor(1e6 / np.pi)
     k_lo = j * np.pi
     result = spectrum(gbc, k_lo ** 2, (k_lo + 10.0) ** 2)
@@ -625,7 +640,7 @@ def test_high_k_left_edge_is_excluded():
 
 
 def test_solve_scattering_validates_never_and_decomposes_once(monkeypatch):
-    gbc = assemble(_ring())
+    gbc = assemble(ring())
     counts = dict.fromkeys(("validate", "measure_admissibility"), 0)
     svd_shapes, solve_shapes, inv_shapes = [], [], []
 
@@ -685,7 +700,7 @@ def _delta_chain(junctions, rng):
 def test_the_inverse_bound_never_exceeds_sigma_min():
     rng = np.random.default_rng(11)
     gbcs = list(_fixture_gbcs())
-    gbcs += [assemble(selftest._random_graph(rng)[0]) for _ in range(20)]
+    gbcs += [assemble(random_graph(rng)[0]) for _ in range(20)]
     gbcs.append(assemble(_delta_chain(200, rng)))
     tol = scattering.SINGULAR_TOL
     for gbc in gbcs:
@@ -702,7 +717,7 @@ def test_the_inverse_bound_never_exceeds_sigma_min():
 
 
 def test_a_failed_or_non_finite_inverse_leaves_the_results_unchanged(monkeypatch):
-    gbcs = [assemble(_ring()), assemble(_delta_chain(12, np.random.default_rng(13)))]
+    gbcs = [assemble(ring()), assemble(_delta_chain(12, np.random.default_rng(13)))]
     energies = [0.5, np.pi ** 2, 2.9, 8.8, (2 * np.pi) ** 2, 26.0]
     expected = [scattering.solve_many(gbc, energies) for gbc in gbcs]
     inv = np.linalg.inv
@@ -742,7 +757,7 @@ def test_transforms_inherit_admissibility(monkeypatch):
     rng = np.random.default_rng(9)
     v0 = Vertex((ext_ref("l1"), int_ref("b", "0")), random_bc(2, rng))
     v1 = Vertex((int_ref("b", "a"), ext_ref("l2"), ext_ref("l3")), random_bc(3, rng))
-    graphs = [_ring(), MetricGraph(("l1", "l2", "l3"), (("b", 0.8),), (v0, v1))]
+    graphs = [ring(), MetricGraph(("l1", "l2", "l3"), (("b", 0.8),), (v0, v1))]
     measured, solved = [], []
     measure, solve = boundary.measure_admissibility, scattering.solve_scattering
     monkeypatch.setattr(boundary, "measure_admissibility",
@@ -770,7 +785,7 @@ def test_is_real_is_tested_once_per_global_bc(monkeypatch):
                         (Vertex((ext_ref("l1"), int_ref("m", "0")),
                                 delta_coupling(1.0, mu=0.7)),
                          Vertex((int_ref("m", "a"), ext_ref("l2")), delta_coupling(0.5))))
-    graphs = [_ring(), _two_vertex_graph(12), mixed]
+    graphs = [ring(), _two_vertex_graph(12), mixed]
     tested, solved = [], []
     measure, solve = boundary.measure_admissibility, scattering.solve_scattering
     monkeypatch.setattr(boundary, "measure_admissibility",
@@ -792,7 +807,7 @@ def test_is_real_is_tested_once_per_global_bc(monkeypatch):
 
 def test_covariance_measures_the_rotated_pair(monkeypatch):
     rng = np.random.default_rng(13)
-    gbcs = [assemble(_ring()), assemble(_two_vertex_graph(13))]
+    gbcs = [assemble(ring()), assemble(_two_vertex_graph(13))]
     measured, solved = [], []
     measure, solve = boundary.measure_admissibility, scattering.solve_scattering
     monkeypatch.setattr(boundary, "measure_admissibility",

@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from importlib import resources
-
-from artifact import numkernel, scattering, selftest, starprod
+from artifact import numkernel, scattering, starprod
 from artifact import graph as graphmod
 from artifact.boundary import (DimensionMismatch, InvalidParameters,
                                kirchhoff_standard, random_bc, random_unitary)
-from artifact.document import load_document
 from artifact.graph import MetricGraph, Vertex, assemble, cut, ext_ref, int_ref
 from artifact.starprod import (ConditionAViolated, StarOperands,
                                associativity_check, compose_smatrices,
                                condition_a, factorize_graph, factorize_many,
                                star, star_many)
+from helpers import fixture, random_graph, ring, tadpole
 
 
 def _draw_operands(rng, allow_p0=False):
@@ -190,22 +188,8 @@ def test_condition_a_resonance_detected():
     assert info.value.margin == 0.0
 
 
-def _ring(a=1.0):
-    v0 = Vertex((ext_ref("l1"), int_ref("i1", "0"), int_ref("i2", "0")),
-                kirchhoff_standard(3))
-    v1 = Vertex((ext_ref("l2"), int_ref("i1", "a"), int_ref("i2", "a")),
-                kirchhoff_standard(3))
-    return MetricGraph(("l1", "l2"), (("i1", a), ("i2", a)), (v0, v1))
-
-
-def _tadpole(a=1.0):
-    v = Vertex((ext_ref("l1"), int_ref("loop", "0"), int_ref("loop", "a")),
-               kirchhoff_standard(3))
-    return MetricGraph(("l1",), (("loop", a),), (v,))
-
-
 def test_compose_matches_direct_solve_on_ring():
-    g = _ring()
+    g = ring()
     left, right, cm = cut(g, ["i1", "i2"])
     for e in (0.6, 2.2, 13.0):
         sl = scattering.solve_scattering(assemble(left), e).s
@@ -229,7 +213,7 @@ def test_ring_glue_inverse_closed_form():
 
 
 def test_factorize_ring_and_random_graph():
-    _, _, defect = factorize_graph(_ring(), ["i1", "i2"], 1.9)
+    _, _, defect = factorize_graph(ring(), ["i1", "i2"], 1.9)
     assert defect < 1e-10
     rng = np.random.default_rng(8)
     from artifact.boundary import random_bc
@@ -240,8 +224,24 @@ def test_factorize_ring_and_random_graph():
     assert defect < 1e-10
 
 
+def test_factorize_chain_matches_the_dressed_two_block_formula():
+    # chain.json: two delta junctions joined by "mid", cut there, against
+    # s11 = S_L00 + S_L01 S_R00 S_L10 q / (1 - S_L11 S_R00 q), q = e^{2ika}
+    g = fixture("chain.json").to_graph()
+    e = 2.0
+    _, s_direct, defect = factorize_graph(g, ["mid"], e)
+    q = np.exp(2j * np.sqrt(e) * g.length("mid"))
+    s_left = scattering.smatrix_single_vertex(g.vertices[0].bc, e)
+    # the right vertex lists the interval end first: its channel 0 is the cut
+    s_right = scattering.smatrix_single_vertex(g.vertices[1].bc, e)
+    s11 = s_left[0, 0] + s_left[0, 1] * s_right[0, 0] * s_left[1, 0] * q \
+        / (1.0 - s_left[1, 1] * s_right[0, 0] * q)
+    assert defect < 1e-10
+    assert abs(s_direct[0, 0] - s11) < 1e-10
+
+
 def test_factorize_tadpole_closed_form_and_resonance():
-    g = _tadpole()
+    g = tadpole()
     for e in (0.5, 2.0, 11.0):
         q = np.exp(1j * np.sqrt(e))
         expected = q * (1.0 / q - 3.0) / (q - 3.0)
@@ -256,10 +256,10 @@ def test_factorize_tadpole_closed_form_and_resonance():
 
 def test_factorize_many_equals_factorize_graph_bit_for_bit():
     rng = np.random.default_rng(21)
-    cases = [(_ring(), ["i1", "i2"], [0.7, 2.9, 14.0]),
-             (_tadpole(), ["loop"], [0.5, 4 * np.pi ** 2, 11.0])]
+    cases = [(ring(), ["i1", "i2"], [0.7, 2.9, 14.0]),
+             (tadpole(), ["loop"], [0.5, 4 * np.pi ** 2, 11.0])]
     for _ in range(4):
-        g, bridge_ids = selftest._random_graph(rng)
+        g, bridge_ids = random_graph(rng)
         cases.append((g, bridge_ids, [float(e) for e in rng.uniform(0.3, 12.0, 4)]))
     for g, cut_ids, energies in cases:
         for e, out in zip(energies, factorize_many(g, cut_ids, energies)):
@@ -273,7 +273,7 @@ def test_factorize_many_equals_factorize_graph_bit_for_bit():
             assert np.array_equal(out[1], direct)
             assert out[2] == defect
     # the tadpole resonance is returned in place, carrying its margin
-    outcomes = factorize_many(_tadpole(), ["loop"], [0.5, 4 * np.pi ** 2])
+    outcomes = factorize_many(tadpole(), ["loop"], [0.5, 4 * np.pi ** 2])
     assert isinstance(outcomes[0], tuple)
     assert isinstance(outcomes[1], ConditionAViolated) and outcomes[1].margin < 1e-8
 
@@ -291,8 +291,7 @@ def _outcomes_agree(got, expected, tol):
 def test_tadpoles_compose_as_through_a_trivial_vertex():
     energies = [0.5, 2.0, 4 * np.pi ** 2, 11.0]
     # tadpole.json: the direct solve keeps the loop, the hand route splits it
-    g = load_document(str(resources.files("artifact") / "fixtures" / "tadpole.json"))
-    g = g.to_graph()
+    g = fixture("tadpole.json").to_graph()
     hand = graphmod.insert_trivial_vertex(g, "loop")
     _outcomes_agree(factorize_many(g, ["loop"], energies),
                     factorize_many(hand, ["loop.1", "loop.2"], energies), 1e-13)
@@ -311,7 +310,7 @@ def test_tadpoles_compose_as_through_a_trivial_vertex():
 
 
 def test_compose_rejects_mismatched_inputs():
-    g = _ring()
+    g = ring()
     left, right, cm = cut(g, ["i1", "i2"])
     sl = scattering.solve_scattering(assemble(left), 1.0).s
     sr = scattering.solve_scattering(assemble(right), 1.0).s
@@ -401,7 +400,7 @@ def _first_error_per_energy(sides, direct, cutmap, grid):
 def test_factorize_many_raises_the_first_error_in_grid_order(monkeypatch):
     # the tadpole resonates at 4 pi^2 (index 1): nothing composes there, so a
     # direct error at that energy is never raised
-    g = _tadpole()
+    g = tadpole()
     grid = [0.5, 4 * np.pi ** 2, 2.0, 11.0, 3.0]
     cut_fn, solve = graphmod.cut, scattering.solve_many
     cutmaps = []
