@@ -7,19 +7,21 @@ line, ``("int", id, "0")`` and ``("int", id, "a")`` for the two ends of an
 internal line.  Each endpoint must belong to exactly one vertex; each vertex
 carries a local boundary condition whose size equals its endpoint count.
 
-:func:`assemble` merges the local conditions into one global pair ``(A, B)``
-ordered as (externals, internal near ends, internal far ends) with inward
-derivatives, which is the layout the scattering solver consumes.  Tadpoles
+:func:`assemble` collects the local conditions into the vertex blocks of one
+global pair ``(A, B)``, with columns ordered as (externals, internal near
+ends, internal far ends) and inward derivatives.  The blocks are what the
+scattering solver consumes; the dense pair is written only when read.  Tadpoles
 (both ends of an edge at one vertex) and parallel edges are allowed.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import boundary
 from .boundary import BoundaryCondition, InvalidParameters
+from .numkernel import as_complex_matrix
 
 END_EXTERNAL = "ext"
 END_INTERNAL = "int"
@@ -154,61 +156,115 @@ class MetricGraph:
         return home[int_ref(line_id, "0")] == home[int_ref(line_id, "a")]
 
 
-@dataclass(frozen=True)
 class GlobalBC:
-    """Assembled global boundary condition of a metric graph.
+    """Global boundary condition of a metric graph, held as its vertex blocks.
 
-    ``bc`` has size ``n + 2m`` with columns ordered as externals, internal
-    near ends, internal far ends (inward derivative convention built in).
+    The global pair ``(A, B)`` has size ``N = n + 2m``, with columns ordered
+    as externals, internal near ends, internal far ends (inward derivative
+    convention built in).  It is a row- and column-permuted block sum of the
+    vertex pairs, and a ``GlobalBC`` holds those pairs, as one
+    ``(rows, columns, a_blocks, b_blocks)`` stack per vertex size (see
+    :meth:`vertex_blocks`), which is what :func:`assemble` builds.  Give
+    either ``blocks`` or a dense ``bc``; a ``GlobalBC`` built from a dense
+    ``bc`` is one block of size ``N``.  The solver reads only the blocks:
+    :attr:`bc` writes the dense pair from them on first read, for the
+    reference :func:`~artifact.scattering.build_xyz` and outside callers.
+
     ``admissibility``, when given, must be the exact admissibility numbers of
-    ``bc`` (as :func:`assemble` knows them from the vertex blocks); otherwise
-    they are measured on first use.  ``blocks``, when given, must be the
-    vertex pairs of ``bc`` as :func:`assemble` writes them; otherwise the
-    whole pair is one block (see :meth:`vertex_blocks`).
+    the vertices, one record per vertex in the order of :meth:`vertex_blocks`
+    (a lone record for the one block of a dense ``bc``); otherwise they are
+    measured on first use.  Treat an instance as immutable.
+
+    Raises:
+        InvalidGraph: when the lengths are not ``m`` positive finite numbers,
+            the pair does not have size ``N``, or the rows or the columns of
+            the blocks are not each a permutation of ``range(N)``.
     """
 
-    n: int
-    m: int
-    lengths: tuple
-    bc: BoundaryCondition
-    admissibility: InitVar[boundary.Admissibility | None] = None
-    blocks: InitVar[tuple | None] = None
+    __slots__ = ("n", "m", "lengths", "_blocks", "_bc", "_vertex_numbers",
+                 "_admissibility", "_admissible")
 
-    def __post_init__(self, admissibility, blocks):
-        lengths = tuple(float(a) for a in self.lengths)
-        object.__setattr__(self, "lengths", lengths)
-        if len(lengths) != self.m:
-            raise InvalidGraph(f"{self.m} internal lines but {len(lengths)} lengths")
-        if any(not np.isfinite(a) or a <= 0 for a in lengths):
+    def __init__(self, n: int, m: int, lengths, bc: BoundaryCondition | None = None,
+                 admissibility=None, blocks=None):
+        self.n, self.m = n, m
+        self.lengths = tuple(float(a) for a in lengths)
+        if len(self.lengths) != m:
+            raise InvalidGraph(f"{m} internal lines but {len(self.lengths)} lengths")
+        if any(not np.isfinite(a) or a <= 0 for a in self.lengths):
             raise InvalidGraph("internal lengths must be positive and finite")
-        if self.bc.dim != self.n + 2 * self.m:
-            raise InvalidGraph(
-                f"global condition has size {self.bc.dim}, expected "
-                f"{self.n + 2 * self.m}")
-        object.__setattr__(self, "_admissibility", admissibility)
-        object.__setattr__(self, "_admissible", False)
-        if blocks is None:
-            blocks = ((np.arange(self.bc.dim)[None], self.bc.A[None], self.bc.B[None]),)
-        object.__setattr__(self, "_blocks", tuple(blocks))
+        size = n + 2 * m
+        if (bc is None) == (blocks is None):
+            raise TypeError("GlobalBC takes either a dense bc or its blocks")
+        if bc is not None:
+            if bc.dim != size:
+                raise InvalidGraph(
+                    f"global condition has size {bc.dim}, expected {size}")
+            whole = np.arange(size)[None]
+            blocks = ((whole, whole, bc.A[None], bc.B[None]),)
+        else:
+            blocks = tuple(blocks)
+            _check_blocks(blocks, size)
+        if isinstance(admissibility, boundary.Admissibility):
+            admissibility = (admissibility,)
+        if admissibility is not None:
+            admissibility = tuple(admissibility)
+            if len(admissibility) != sum(len(cols) for _, cols, _, _ in blocks):
+                raise ValueError("admissibility needs one record per vertex")
+        self._blocks, self._bc = blocks, bc
+        self._vertex_numbers, self._admissibility = admissibility, None
+        self._admissible = False
+
+    @property
+    def bc(self) -> BoundaryCondition:
+        """The dense ``N x N`` pair ``(A, B)``, written from the blocks on
+        first read and kept."""
+        if self._bc is None:
+            size = self.n + 2 * self.m
+            a = np.zeros((size, size), dtype=complex)
+            b = np.zeros((size, size), dtype=complex)
+            for rows, cols, a_blocks, b_blocks in self._blocks:
+                a[rows[:, :, None], cols[:, None, :]] = a_blocks
+                b[rows[:, :, None], cols[:, None, :]] = b_blocks
+            self._bc = BoundaryCondition(a, b)
+        return self._bc
 
     def vertex_blocks(self) -> tuple:
-        """One ``(columns, a_blocks, b_blocks)`` stack per vertex size: the
-        i-th pair ``(a_blocks[i], b_blocks[i])`` couples the endpoints in the
-        global columns ``columns[i]``.  Each column belongs to one vertex, so
+        """One ``(rows, columns, a_blocks, b_blocks)`` stack per vertex size:
+        the i-th pair ``(a_blocks[i], b_blocks[i])`` sits in the global rows
+        ``rows[i]`` and couples the endpoints in the global columns
+        ``columns[i]``.  Each row and each column belongs to one vertex, so
         the vertex S-matrices scattered by these columns make the S-matrix of
         ``bc``.
         """
         return self._blocks
 
-    def admissibility_numbers(self) -> boundary.Admissibility:
-        """The admissibility numbers of ``bc``.
+    def vertex_admissibility(self) -> tuple:
+        """The admissibility numbers of every vertex, in the order of
+        :meth:`vertex_blocks`: given at construction, or measured once, by
+        one :func:`boundary.measure_admissibility_stack` per vertex size (a
+        lone vertex, such as a dense ``bc``, by
+        :func:`boundary.measure_admissibility`)."""
+        if self._vertex_numbers is None:
+            if len(self._blocks) == 1 and len(self._blocks[0][1]) == 1:
+                _, _, a_blocks, b_blocks = self._blocks[0]
+                self._vertex_numbers = (boundary.measure_admissibility(
+                    BoundaryCondition(a_blocks[0], b_blocks[0])),)
+            else:
+                self._vertex_numbers = tuple(
+                    record for _, _, a_blocks, b_blocks in self._blocks
+                    for record in boundary.measure_admissibility_stack(a_blocks, b_blocks))
+        return self._vertex_numbers
 
-        They do not depend on the energy, so they are measured at most once
-        per instance, and not at all when given at construction.
+    def admissibility_numbers(self) -> boundary.Admissibility:
+        """The admissibility numbers of ``bc``, combined exactly from the
+        vertex ones (:func:`boundary.combine_admissibility`).
+
+        They do not depend on the energy, so they are formed at most once
+        per instance.
         """
         if self._admissibility is None:
-            object.__setattr__(self, "_admissibility",
-                               boundary.measure_admissibility(self.bc))
+            self._admissibility = boundary.combine_admissibility(
+                self.vertex_admissibility())
         return self._admissibility
 
     def is_real(self) -> bool:
@@ -222,7 +278,97 @@ class GlobalBC:
         kept, so every later solve on the instance skips it."""
         if not self._admissible:
             self.admissibility_numbers().require(boundary.DEFAULT_TOL)
-            object.__setattr__(self, "_admissible", True)
+            self._admissible = True
+
+    def conjugate(self) -> "GlobalBC":
+        """The conjugate pair ``(A-bar, B-bar)``, block by block.  Conjugation
+        keeps every admissibility number exactly, so the vertex records are
+        inherited."""
+        return GlobalBC(self.n, self.m, self.lengths,
+                        admissibility=self.vertex_admissibility(),
+                        blocks=[(rows, cols, a.conj(), b.conj())
+                                for rows, cols, a, b in self._blocks])
+
+    def dual(self, energy: float) -> "GlobalBC":
+        """The length/energy dual: the pair ``(-B T, A T)`` of
+        :func:`boundary.dual`, block by block (``T_v`` is the vertex's slice
+        of ``T``), on lines ``energy`` times as long.  Each row of
+        ``[-B T | A T]`` is its row of ``[A | B]``, signed and permuted, so
+        the vertex records are inherited."""
+        t = np.ones(self.n + 2 * self.m)
+        t[self.n + self.m:] = -1.0
+        return GlobalBC(self.n, self.m, tuple(energy * a for a in self.lengths),
+                        admissibility=self.vertex_admissibility(),
+                        blocks=[(rows, cols, -b * t[cols][:, None, :],
+                                 a * t[cols][:, None, :])
+                                for rows, cols, a, b in self._blocks])
+
+    def rotate_channels(self, u) -> "GlobalBC":
+        """The pair ``(A U_hat, B U_hat)`` with ``U_hat = diag(u, I)`` for an
+        ``n x n`` channel matrix ``u``.
+
+        ``U_hat`` mixes the external columns, so the vertices that hold one
+        merge into one block ``(A_E U_E, B_E U_E)``; every other block keeps
+        its pair and its record.  The merged block is measured, never
+        inherited: ``(A U)(B U)^T = A U U^T B^T``, so a complex ``u`` changes
+        the reality defect.
+
+        Raises:
+            DimensionMismatch: unless ``u`` is ``n x n``.
+        """
+        u = as_complex_matrix(u, "channel unitary")
+        if u.shape != (self.n, self.n):
+            raise boundary.DimensionMismatch(
+                f"channel unitary must be {self.n} x {self.n}, got {u.shape}")
+        numbers = iter(self.vertex_admissibility())
+        merged, kept, kept_numbers = [], [], []
+        for rows, cols, a, b in self._blocks:
+            external = (cols < self.n).any(axis=1)
+            for holds, record in zip(external, numbers):
+                if not holds:
+                    kept_numbers.append(record)
+            merged += [(rows[i], cols[i], a[i], b[i]) for i in external.nonzero()[0]]
+            if not external.all():
+                kept.append((rows[~external], cols[~external], a[~external], b[~external]))
+        if not merged:
+            return self
+        rows = np.concatenate([r for r, _, _, _ in merged])
+        cols = np.concatenate([c for _, c, _, _ in merged])
+        a_e = np.zeros((len(cols), len(cols)), dtype=complex)
+        b_e = np.zeros_like(a_e)
+        start = 0
+        for _, _, a, b in merged:
+            stop = start + len(a)
+            a_e[start:stop, start:stop], b_e[start:stop, start:stop] = a, b
+            start = stop
+        u_e = np.eye(len(cols), dtype=complex)
+        ext = (cols < self.n).nonzero()[0]
+        u_e[np.ix_(ext, ext)] = u[np.ix_(cols[ext], cols[ext])]
+        pair = BoundaryCondition(a_e @ u_e, b_e @ u_e)
+        return GlobalBC(self.n, self.m, self.lengths,
+                        admissibility=[boundary.measure_admissibility(pair), *kept_numbers],
+                        blocks=[(rows[None], cols[None], pair.A[None], pair.B[None]),
+                                *kept])
+
+
+def _check_blocks(blocks, size: int) -> None:
+    """Raise :class:`InvalidGraph` unless ``blocks`` are ``(rows, columns,
+    a_blocks, b_blocks)`` stacks of shapes ``(V, d)``, ``(V, d)``,
+    ``(V, d, d)``, ``(V, d, d)`` whose rows and whose columns each run over
+    ``range(size)`` once."""
+    for rows, cols, a_blocks, b_blocks in blocks:
+        if np.ndim(cols) != 2 or not (np.shape(rows) == np.shape(cols)
+                                      and np.shape(a_blocks) == np.shape(b_blocks)
+                                      == np.shape(cols) + np.shape(cols)[-1:]):
+            raise InvalidGraph("vertex blocks must be (V, d) rows and columns "
+                               "with (V, d, d) pairs")
+    for which, name in ((0, "rows"), (1, "columns")):
+        used = np.concatenate([np.zeros(0, dtype=int)]
+                              + [np.ravel(block[which]) for block in blocks])
+        if used.dtype.kind not in "iu" or not np.array_equal(np.sort(used),
+                                                             np.arange(size)):
+            raise InvalidGraph(
+                f"the {name} of the vertex blocks are not a permutation of range({size})")
 
 
 @dataclass(frozen=True)
@@ -260,21 +406,21 @@ def measure_vertices(vertices) -> tuple[list, list]:
 
 
 def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
-    """Merge the local vertex conditions into the global pair ``(A, B)``.
+    """The global condition of ``g``: its vertex blocks, measured by
+    :func:`measure_vertices`, one ``(rows, columns, a_blocks, b_blocks)``
+    stack per vertex size.
 
-    The blocks of each size, measured by :func:`measure_vertices`, are
-    written into ``(A, B)`` by one indexed assignment, so the numpy calls do
-    not grow with the vertex count, and kept as the result's
-    :meth:`GlobalBC.vertex_blocks`.  Each vertex is judged at ``tol``; the
-    global pair's numbers are combined from the vertex ones, so no check of
-    the N x N pair decomposes it.
+    The rows follow ``g.vertices`` and the columns the endpoint order of
+    :class:`GlobalBC`, so the numpy calls do not grow with the vertex count
+    and no ``N x N`` array is written.  Each vertex is judged at ``tol``,
+    and its numbers are the result's vertex records, so no check of the
+    global pair decomposes it.
 
     Raises:
         InvalidBoundaryCondition: for the first inadmissible vertex, in the
             order of ``g.vertices``.
     """
     n, m = g.n, g.m
-    size = n + 2 * m
     col: dict[tuple, int] = {}
     for j, e in enumerate(g.externals):
         col[ext_ref(e)] = j
@@ -282,28 +428,22 @@ def assemble(g: MetricGraph, tol: float = boundary.DEFAULT_TOL) -> GlobalBC:
         col[int_ref(i, "0")] = n + j
         col[int_ref(i, "a")] = n + m + j
 
-    a = np.zeros((size, size), dtype=complex)
-    b = np.zeros((size, size), dtype=complex)
     vertices = g.vertices
     first_row = np.cumsum([0] + [v.bc.dim for v in vertices])
-    assert first_row[-1] == size
     parts, stacks = measure_vertices(vertices)
     blocks = []
     for members, a_blocks, b_blocks in stacks:
-        rows = (first_row[members][:, None] + np.arange(a_blocks.shape[-1]))[:, :, None]
+        rows = first_row[members][:, None] + np.arange(a_blocks.shape[-1])
         cols = np.array([[col[e] for e in vertices[vi].endpoints] for vi in members])
-        a[rows, cols[:, None, :]] = a_blocks
-        b[rows, cols[:, None, :]] = b_blocks
-        blocks.append((cols, a_blocks, b_blocks))
+        blocks.append((rows, cols, a_blocks, b_blocks))
     for vi, numbers in enumerate(parts):
         try:
             numbers.require(tol)
         except boundary.InvalidBoundaryCondition as exc:
             raise boundary.InvalidBoundaryCondition(f"vertex {vi}: {exc}")
-    # (A, B) is a row- and column-permuted block sum of the vertex pairs
     return GlobalBC(n=n, m=m, lengths=tuple(length for _, length in g.internals),
-                    bc=BoundaryCondition(a, b),
-                    admissibility=boundary.combine_admissibility(parts), blocks=blocks)
+                    admissibility=[parts[vi] for members, _, _ in stacks for vi in members],
+                    blocks=blocks)
 
 
 def trivial_vertex_bc() -> BoundaryCondition:

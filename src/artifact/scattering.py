@@ -25,7 +25,11 @@ out (``S_V`` is unitary), so the S block stays unique there and
 :func:`solve_scattering` returns the minimum-norm solution with
 ``at_eigenvalue`` set.  :func:`build_xyz` forms the equivalent dense system
 ``Z(E) (S; alpha; beta) = -(A - ikB) (I; 0; 0)``, ``Z = A X + ik B Y``, as a
-reference.
+reference; it is the one reader of the dense pair ``GlobalBC.bc``.  The
+solver and the identity checks read only the vertex blocks of
+:meth:`GlobalBC.vertex_blocks`, and the checks transform them block by block
+(:meth:`GlobalBC.conjugate`, :meth:`GlobalBC.dual`,
+:meth:`GlobalBC.rotate_channels`).
 
 :func:`boundary.vertex_smatrices` evaluates the vertex S-matrices, for a
 stack of vertices and wavenumbers (:func:`smatrix_single_vertex` is its
@@ -273,7 +277,7 @@ def _scattered(gbc: GlobalBC, ks) -> tuple[np.ndarray, np.ndarray]:
     # column c of S_V is column swap[c] of S_V J
     swap = np.concatenate([np.arange(n), np.arange(n + m, size), np.arange(n, n + m)])
     w = np.zeros((len(ks), size, size), dtype=complex)
-    for cols, a_blocks, b_blocks in gbc.vertex_blocks():
+    for _, cols, a_blocks, b_blocks in gbc.vertex_blocks():
         w[:, cols[:, :, None], swap[cols][:, None, :]] = \
             boundary.vertex_smatrices(a_blocks, b_blocks, ks)
     phases = np.exp(1j * (ks[:, None] * np.asarray(gbc.lengths)))
@@ -325,7 +329,8 @@ def build_xyz(gbc: GlobalBC, energy: float):
     Endpoint order is (externals, internal near ends, internal far ends);
     with no internal lines both X and Y degenerate to the identity.  The
     solver works on the bond matrix instead; this system is the reference it
-    is checked against.
+    is checked against, and it reads the dense pair ``gbc.bc``, which is
+    written on first read.
     """
     energy = _check_energy(energy)
     n, m = gbc.n, gbc.m
@@ -637,12 +642,11 @@ def evaluate_wavefunction(gbc: GlobalBC, result: ScatteringResult, channel: int,
 def check_transpose(gbc: GlobalBC, energy: float) -> float:
     """Defect of the transposition identity: conjugating the boundary condition
     transposes the S-matrix.  For real conditions the S-matrix itself is
-    symmetric and that stronger identity is included in the defect."""
+    symmetric and that stronger identity is included in the defect.  The
+    conjugate is :meth:`GlobalBC.conjugate`, formed block by block with the
+    source's admissibility records."""
     res = solve_scattering(gbc, energy)
-    # conjugation keeps every admissibility number exactly
-    conj = GlobalBC(gbc.n, gbc.m, gbc.lengths, gbc.bc.conjugate(),
-                    gbc.admissibility_numbers())
-    res_c = solve_scattering(conj, energy)
+    res_c = solve_scattering(gbc.conjugate(), energy)
     defect = numkernel.spectral_norm(res_c.s.T - res.s)
     if gbc.is_real():
         defect = max(defect, numkernel.spectral_norm(res.s.T - res.s))
@@ -652,20 +656,15 @@ def check_transpose(gbc: GlobalBC, energy: float) -> float:
 def check_duality(gbc: GlobalBC, energy: float) -> float:
     """Defect of the length/energy duality.
 
-    The transformed condition ``(-B T, A T)`` with all lengths scaled by E,
-    evaluated at energy ``1/E``, must reproduce ``-S``, ``-alpha``, ``beta``.
-    Meaningful away from embedded eigenvalues (alpha/beta are unique there).
+    The transformed condition ``(-B T, A T)`` with all lengths scaled by E
+    (:meth:`GlobalBC.dual`, block by block with the source's admissibility
+    records), evaluated at energy ``1/E``, must reproduce ``-S``, ``-alpha``,
+    ``beta``.  Meaningful away from embedded eigenvalues (alpha/beta are
+    unique there).
     """
     energy = _check_energy(energy)
     res = solve_scattering(gbc, energy)
-    # each row of [-B T | A T] is its row of [A | B], signed and permuted
-    themed = GlobalBC(
-        gbc.n, gbc.m,
-        tuple(energy * a for a in gbc.lengths),
-        boundary.dual(gbc.bc, gbc.n, gbc.m),
-        gbc.admissibility_numbers(),
-    )
-    res_d = solve_scattering(themed, 1.0 / energy)
+    res_d = solve_scattering(gbc.dual(energy), 1.0 / energy)
     return float(max(
         numkernel.spectral_norm(res_d.s + res.s),
         numkernel.spectral_norm(res_d.alpha + res.alpha),
@@ -678,19 +677,16 @@ def check_covariance(gbc: GlobalBC, u, energy: float) -> float:
 
     Post-composing ``(A, B)`` with ``diag(U, I, I)`` for a unitary ``U`` on the
     external channels maps ``S -> U^{-1} S U``, ``alpha -> alpha U`` and
-    ``beta -> beta U``.
+    ``beta -> beta U``.  The rotated pair is :meth:`GlobalBC.rotate_channels`:
+    only the merged block of the vertices holding an external line is
+    rotated and measured.
+
+    Raises:
+        DimensionMismatch: unless ``u`` is ``n x n``.
     """
+    transformed = gbc.rotate_channels(u)
     u = numkernel.as_complex_matrix(u, "channel unitary")
-    if u.shape != (gbc.n, gbc.n):
-        raise boundary.DimensionMismatch(
-            f"channel unitary must be {gbc.n} x {gbc.n}, got {u.shape}")
     res = solve_scattering(gbc, energy)
-    u_hat = np.eye(gbc.n + 2 * gbc.m, dtype=complex)
-    u_hat[:gbc.n, :gbc.n] = u
-    # (A U)(B U)^T = A U U^T B^T: a complex U changes the reality defect, so
-    # the rotated pair is measured rather than given the source's numbers
-    transformed = GlobalBC(gbc.n, gbc.m, gbc.lengths,
-                           BoundaryCondition(gbc.bc.A @ u_hat, gbc.bc.B @ u_hat))
     res_t = solve_scattering(transformed, energy)
     return float(max(
         numkernel.spectral_norm(res_t.s - u.conj().T @ res.s @ u),

@@ -1,3 +1,9 @@
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -139,6 +145,21 @@ def test_robin_delta_fixture_matches_direct_elimination():
         s, alpha, beta = np.linalg.solve(rows, rhs)
         assert max(abs(res.s[0, 0] - s), abs(res.alpha[0, 0] - alpha),
                    abs(res.beta[0, 0] - beta)) < 1e-10, e
+
+
+def test_cyclic_junction_fixture_matches_the_fourier_formula():
+    # cyclic_junction.json: five half lines, cyclic coupling c = 0.5; S is
+    # the circulant of criterion 05, -1/n sum_q w^{(l-j) q} (1 - i g_q) /
+    # (1 + i g_q) with g_q = 2 c k cos(2 pi q / n)
+    gbc = fixture_gbc("cyclic_junction.json")
+    n, c = 5, 0.5
+    q = np.arange(n)
+    for e in (0.5, 2.0, 7.0):
+        gamma = 2.0 * c * np.sqrt(e) * np.cos(2.0 * np.pi * q / n)
+        shift = np.subtract.outer(q, q).T    # (l - j) at [j, l]
+        target = -np.exp(2j * np.pi * shift[:, :, None] * q / n) @ (
+            (1.0 - 1j * gamma) / (1.0 + 1j * gamma)) / n
+        assert np.abs(solve_scattering(gbc, e).s - target).max() < 1e-10, e
 
 
 def test_ring_det_z_closed_form():
@@ -697,6 +718,22 @@ def _delta_chain(junctions, rng):
     return MetricGraph(("l", "r"), internals, tuple(vertices))
 
 
+def test_solves_and_checks_on_a_long_chain_never_build_the_dense_pair(monkeypatch):
+    rng = np.random.default_rng(15)
+    g = _delta_chain(200, rng)
+
+    def dense(gbc):
+        pytest.fail("the dense pair was built")
+
+    monkeypatch.setattr(GlobalBC, "bc", property(dense))
+    gbc = assemble(g)
+    energies = rng.uniform(20.0, 400.0, size=4)
+    assert all(r.unitarity_defect < 1e-12 for r in scattering.solve_many(gbc, energies))
+    u = random_unitary(2, rng)
+    assert max(check_transpose(gbc, 150.0), check_duality(gbc, 150.0),
+               check_covariance(gbc, u, 150.0)) < 1e-10
+
+
 def test_the_inverse_bound_never_exceeds_sigma_min():
     rng = np.random.default_rng(11)
     gbcs = list(_fixture_gbcs())
@@ -835,3 +872,13 @@ def test_covariance_measures_the_rotated_pair(monkeypatch):
     assert check_covariance(gbcs[0], np.diag([1.0, np.exp(0.3j)]), 2.9) < 1e-10
     source, rotated = gbcs[0], solved[-1]
     assert source.is_real() and not rotated.is_real()
+
+
+def test_readme_library_example_prints_the_ring_eigenvalues():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    eigenvalues = ast.literal_eval(out.getvalue().splitlines()[-1])
+    assert_allclose(eigenvalues, np.pi ** 2 * np.array([1.0, 4.0, 9.0]), rtol=1e-8)
